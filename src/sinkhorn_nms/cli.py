@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-domain",
         choices=("auto", "on", "off"),
         default="auto",
-        help="kernel scaling in log space (auto: on for tau < 0.5)",
+        help="kernel scaling in log space "
+        "(auto: on for tau < 0.5 or when the linear kernel underflows)",
     )
     run.add_argument("--alpha", type=float, default=1.0)
     run.add_argument("--beta", type=float, default=1.0)

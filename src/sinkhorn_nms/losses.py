@@ -25,19 +25,17 @@ BCE_EPS = 1e-7
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights for the KL pull and the total-loss combination.
+    """Weights for the KL pull (``lambda_kl``) and the total-loss combination.
 
-    ``lambda3`` is accepted for configuration compatibility but does not
-    enter the total.
+    The total is ``l_cls + lambda1 * l_match + lambda2 * l_reg``.
     """
 
     lambda_kl: float = 1.0
     lambda1: float = 1.0
     lambda2: float = 1.0
-    lambda3: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda_kl", "lambda1", "lambda2", "lambda3"):
+        for name in ("lambda_kl", "lambda1", "lambda2"):
             val = getattr(self, name)
             if not math.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")

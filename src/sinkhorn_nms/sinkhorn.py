@@ -7,14 +7,21 @@ rows to ``a`` and then columns to ``b``; the column marginal is therefore
 exact by construction after every iteration and the recorded violation trace
 measures the residual row drift.
 
-Two computation modes share one iteration schedule:
+One iteration driver serves both computation modes.  It keeps the
+log-scaled dual potentials ``uh = u / tau`` and ``vh = v / tau``; each
+half-step sets one of them to the log marginal minus a row or column
+log-partition of ``-C / tau`` plus the other potential.  The mode picks only
+how that log-partition is reduced:
 
-* linear mode works on the kernel and scaling vectors directly, and
-* log mode works on dual potentials with log-sum-exp reductions, which
-  survives the small temperatures (tau ~ 0.1 and below) where the kernel
-  underflows.
+* linear mode takes the log of a Gibbs-kernel matrix-vector product, which is
+  cheaper but underflows when every cost of a row or column exceeds about
+  700 tau (small temperatures or large cost weights), and
+* log mode takes a max-shifted log-sum-exp, which survives that.
 
-The coupling and the duals are related by
+In auto mode (``log_domain=None``) a linear run whose reduction goes
+non-finite is rerun from scratch in log mode; an explicit linear request
+raises ``NumericalError`` instead.  Both modes form the coupling as
+``S = exp(uh + vh - C / tau)``, i.e.
 ``S = diag(exp(u / tau)) @ exp(-C / tau) @ diag(exp(v / tau))``.
 
 Convergence is measured in the Hilbert projective metric, under which one
@@ -37,15 +44,15 @@ measured by the verification harness rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cost import CostMatrix, cost_values, kappa
 
 # Log-domain computation is the default below this temperature; the linear
-# kernel exp(-C / tau) underflows for moderate costs there.
+# kernel exp(-C / tau) underflows for moderate costs there.  Auto mode also
+# switches to log mode when a linear run underflows above it.
 LOG_DOMAIN_TAU_THRESHOLD = 0.5
 
 # Hilbert distances below this floor are dominated by the accuracy of the
@@ -65,7 +72,7 @@ class SinkhornParams:
     tau: float = 0.1
     iters: int = 10
     tol: float = 1e-9
-    log_domain: bool | None = None  # None selects log mode for tau < 0.5
+    log_domain: bool | None = None  # None: log mode for tau < 0.5 or on underflow
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -108,7 +115,11 @@ class Marginals:
 
 @dataclass(frozen=True, eq=False)
 class SoftAssignment:
-    """Soft coupling with duals and the per-iteration marginal-violation trace."""
+    """Soft coupling with duals and the per-iteration marginal-violation trace.
+
+    ``log_domain`` records the mode that produced the result, which differs
+    from the requested one after an auto-mode fallback.
+    """
 
     matrix: np.ndarray
     marginals: Marginals
@@ -156,66 +167,78 @@ def _violation(S: np.ndarray, marg: Marginals) -> float:
     return max(row, col)
 
 
-def _iterate_linear(values, tau, marg, iters, tol, keep_tape=False, collect_plans=False):
-    Km = np.exp(-values / tau)
-    c = np.ones(values.shape[1])
-    r = np.ones(values.shape[0])
-    tape = []
-    plans = []
-    violations = []
-    converged = False
-    executed = 0
-    for _ in range(iters):
-        c_in = c
-        # non-finite intermediates (kernel underflow) are detected explicitly
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = Km @ c_in
-            r = marg.a / y
-            z = Km.T @ r
-            c = marg.b / z
-        if not (np.isfinite(r).all() and np.isfinite(c).all()):
-            raise NumericalError("numerical failure; retry with log_domain")
-        if keep_tape:
-            tape.append((c_in, y, r, z, c))
-        S = r[:, None] * Km * c[None, :]
-        if collect_plans:
-            plans.append(S)
-        violations.append(_violation(S, marg))
-        executed += 1
-        if violations[-1] < tol:
-            converged = True
-            break
-    u = tau * np.log(r)
-    v = tau * np.log(c)
-    return S, Km, u, v, violations, executed, converged, tape, plans
+def _lse(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis`` of a finite matrix.
+
+    Bitwise equal to ``scipy.special.logsumexp``: entries tied at the maximum
+    are counted apart from the shifted sum, which is then folded in by log1p.
+    """
+    xmax = x.max(axis=axis, keepdims=True)
+    tied = x == xmax
+    n = tied.sum(axis=axis, keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(tied, -np.inf, x) - xmax).sum(axis=axis, keepdims=True)
+    return (np.log1p(s / n) + np.log(n) + xmax).squeeze(axis)
 
 
-def _iterate_log(values, tau, marg, iters, tol, keep_tape=False, collect_plans=False):
-    phi = -values / tau
+def _plan(phi: np.ndarray, uh: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    return np.exp(uh[:, None] + vh[None, :] + phi)
+
+
+def _iterate(values, params, marg, keep_tape=False):
+    """Alternate row and column scaling on the log-scaled duals (uh, vh).
+
+    Returns the assignment, the log kernel ``phi = -C / tau`` and, with
+    ``keep_tape``, the per-iteration duals ``(vh_in, uh, vh)``.
+    """
+    log_mode = params.resolve_log_domain()
+    phi = -values / params.tau
+    if log_mode:
+        def row_lp(vh):
+            return _lse(phi + vh[None, :], axis=1)
+
+        def col_lp(uh):
+            return _lse(phi + uh[:, None], axis=0)
+    else:
+        Km = np.exp(phi)
+
+        def row_lp(vh):
+            return np.log(Km @ np.exp(vh))
+
+        def col_lp(uh):
+            return np.log(Km.T @ np.exp(uh))
     log_a = np.log(marg.a)
     log_b = np.log(marg.b)
-    vh = np.zeros(values.shape[1])
     uh = np.zeros(values.shape[0])
+    vh = np.zeros(values.shape[1])
     tape = []
-    plans = []
     violations = []
-    converged = False
-    executed = 0
-    for _ in range(iters):
+    for _ in range(params.iters):
         vh_in = vh
-        uh = log_a - logsumexp(phi + vh_in[None, :], axis=1)
-        vh = log_b - logsumexp(phi + uh[:, None], axis=0)
+        # non-finite intermediates (kernel underflow) are detected explicitly
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            uh = log_a - row_lp(vh_in)
+            vh = log_b - col_lp(uh)
+        if not (log_mode or (np.isfinite(uh).all() and np.isfinite(vh).all())):
+            if params.log_domain is None:
+                return _iterate(values, replace(params, log_domain=True), marg, keep_tape)
+            raise NumericalError("numerical failure; retry with log_domain")
         if keep_tape:
             tape.append((vh_in, uh, vh))
-        S = np.exp(uh[:, None] + vh[None, :] + phi)
-        if collect_plans:
-            plans.append(S)
+        S = _plan(phi, uh, vh)
         violations.append(_violation(S, marg))
-        executed += 1
-        if violations[-1] < tol:
-            converged = True
+        if violations[-1] < params.tol:
             break
-    return S, phi, tau * uh, tau * vh, violations, executed, converged, tape, plans
+    assignment = SoftAssignment(
+        matrix=S,
+        marginals=marg,
+        u=params.tau * uh,
+        v=params.tau * vh,
+        violations=tuple(violations),
+        iterations=len(violations),
+        converged=violations[-1] < params.tol,
+        log_domain=log_mode,
+    )
+    return assignment, phi, tape
 
 
 def solve(C: CostMatrix | np.ndarray, params: SinkhornParams, marg: Marginals) -> SoftAssignment:
@@ -228,26 +251,7 @@ def solve(C: CostMatrix | np.ndarray, params: SinkhornParams, marg: Marginals) -
     """
     values = cost_values(C)
     _check_dims(values, marg)
-    if params.resolve_log_domain():
-        S, _, u, v, violations, executed, converged, _, _ = _iterate_log(
-            values, params.tau, marg, params.iters, params.tol
-        )
-        log_mode = True
-    else:
-        S, _, u, v, violations, executed, converged, _, _ = _iterate_linear(
-            values, params.tau, marg, params.iters, params.tol
-        )
-        log_mode = False
-    return SoftAssignment(
-        matrix=S,
-        marginals=marg,
-        u=u,
-        v=v,
-        violations=tuple(violations),
-        iterations=executed,
-        converged=converged,
-        log_domain=log_mode,
-    )
+    return _iterate(values, params, marg)[0]
 
 
 def hilbert_distance(P: np.ndarray, Q: np.ndarray) -> float:
@@ -289,10 +293,7 @@ def verify_contraction(
     """
     values = cost_values(C)
     _check_dims(values, marg)
-    log_mode = params.resolve_log_domain()
-    ref_params = SinkhornParams(
-        tau=params.tau, iters=_REFERENCE_ITERS, tol=_REFERENCE_TOL, log_domain=log_mode
-    )
+    ref_params = replace(params, iters=_REFERENCE_ITERS, tol=_REFERENCE_TOL)
     reference = solve(values, ref_params, marg)
     if not reference.converged:
         raise NumericalError("reference solve failed to converge")
@@ -300,15 +301,12 @@ def verify_contraction(
     if (Pstar <= 0).any():
         raise NumericalError("reference plan has nonpositive entries; increase tau")
 
-    iterate = _iterate_log if log_mode else _iterate_linear
     # Disable early stopping (tol below any achievable violation) so the plan
     # sequence is governed purely by the distance floor.
-    _, _, _, _, _, executed, _, _, plans = iterate(
-        values, params.tau, marg, params.iters, 1e-300, collect_plans=True
-    )
+    run, phi, tape = _iterate(values, replace(params, tol=1e-300), marg, keep_tape=True)
     distances = []
-    for P in plans:
-        d = hilbert_distance(P, Pstar)
+    for _, uh, vh in tape:
+        d = hilbert_distance(_plan(phi, uh, vh), Pstar)
         distances.append(d)
         if d < _DH_FLOOR:
             break
@@ -325,7 +323,7 @@ def verify_contraction(
         max_ratio=max_ratio,
         rate_bound=bound,
         passed=passed,
-        iterations=executed,
+        iterations=run.iterations,
         distances=tuple(distances),
     )
 
@@ -338,62 +336,34 @@ def grad_unrolled(
 ) -> np.ndarray:
     """Exact reverse-mode derivative of <upstream, S> with respect to the costs.
 
-    Re-runs the forward pass recording every scaling step, then accumulates
-    adjoints backward through the iterations actually executed (including any
-    early stop) and through the Gibbs kernel.
+    Re-runs the forward pass recording the duals of every scaling step, then
+    accumulates adjoints backward through the iterations actually executed
+    (including any early stop).  Each half-step's row or column softmax
+    weights are rebuilt from the recorded duals.
     """
     values = cost_values(C)
     _check_dims(values, marg)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != values.shape:
         raise ValueError("upstream must match the cost matrix shape")
-    if params.resolve_log_domain():
-        return _grad_unrolled_log(values, params, marg, upstream)
-    return _grad_unrolled_linear(values, params, marg, upstream)
-
-
-def _grad_unrolled_linear(values, params, marg, upstream):
-    S, Km, u, v, violations, executed, converged, tape, _ = _iterate_linear(
-        values, params.tau, marg, params.iters, params.tol, keep_tape=True
-    )
-    r_f = np.exp(u / params.tau)
-    c_f = np.exp(v / params.tau)
-    dK = upstream * (r_f[:, None] * c_f[None, :])
-    dc = (upstream * Km).T @ r_f
-    dr_final = (upstream * Km) @ c_f
-    for t in reversed(range(executed)):
-        c_in, y, r, z, c_out = tape[t]
-        dr = dr_final if t == executed - 1 else np.zeros_like(y)
-        dz = -dc * c_out / z
-        dK += np.outer(r, dz)
-        dr = dr + Km @ dz
-        dy = -dr * r / y
-        dK += np.outer(dy, c_in)
-        dc = Km.T @ dy
-    return dK * (-Km / params.tau)
-
-
-def _grad_unrolled_log(values, params, marg, upstream):
-    S, phi, u, v, violations, executed, converged, tape, _ = _iterate_log(
-        values, params.tau, marg, params.iters, params.tol, keep_tape=True
-    )
-    G = upstream * S
+    S, phi, tape = _iterate(values, params, marg, keep_tape=True)
+    log_a = np.log(marg.a)
+    log_b = np.log(marg.b)
+    G = upstream * S.matrix
     dphi = G.copy()
-    duh_in = G.sum(axis=1)
+    duh = G.sum(axis=1)
     dvh = G.sum(axis=0)
-    for t in reversed(range(executed)):
-        vh_in, uh, vh = tape[t]
-        duh = duh_in if t == executed - 1 else np.zeros(values.shape[0])
-        # vh = log b - LSE_i(phi + uh): column softmax weights.
-        col = phi + uh[:, None]
-        B = np.exp(col - logsumexp(col, axis=0, keepdims=True))
-        dphi -= B * dvh[None, :]
-        duh = duh - (B * dvh[None, :]).sum(axis=1)
-        # uh = log a - LSE_j(phi + vh_in): row softmax weights.
-        row = phi + vh_in[None, :]
-        A = np.exp(row - logsumexp(row, axis=1, keepdims=True))
-        dphi -= A * duh[:, None]
-        dvh = -(A * duh[:, None]).sum(axis=0)
+    for vh_in, uh, vh in reversed(tape):
+        # vh = log b - LSE_i(phi + uh): column softmax weights times dvh.
+        Bd = np.exp(phi + uh[:, None] + (vh - log_b)[None, :]) * dvh[None, :]
+        dphi -= Bd
+        duh = duh - Bd.sum(axis=1)
+        # uh = log a - LSE_j(phi + vh_in): row softmax weights times duh.
+        Ad = np.exp(phi + (uh - log_a)[:, None] + vh_in[None, :]) * duh[:, None]
+        dphi -= Ad
+        dvh = -Ad.sum(axis=0)
+        # uh feeds only the S of the last iteration and this iteration's vh.
+        duh = 0.0
     return dphi * (-1.0 / params.tau)
 
 

@@ -120,6 +120,17 @@ class TestRun:
         assert code == 3
         assert "log_domain" in capsys.readouterr().err
 
+    def test_auto_mode_falls_back_to_log_on_underflow(self, tmp_path):
+        # tau = 0.5 starts linear; alpha = 2000 underflows the linear kernel
+        out = tmp_path / "s.jsonl"
+        assert run_cli("synth", "--regions", 3, "--per-region", 5, "--jitter", 2,
+                       "--score-noise", 0.5, "--seed", 3, "--output", out) == 0
+        report_path = tmp_path / "r.json"
+        assert run_cli("run", out, "--tau", 0.5, "--alpha", 2000, "--k", 3,
+                       "--output", report_path) == 0
+        report = json.loads(report_path.read_text())
+        assert report["diagnostics"]["log_domain"] is True
+
     def test_missing_input_usage_error(self, tmp_path, capsys):
         code = run_cli("run", tmp_path / "nope.jsonl", "--output", tmp_path / "r.json")
         assert code == 2

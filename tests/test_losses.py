@@ -149,11 +149,6 @@ class TestTotalLoss:
         report = total_loss(4.2, 100.0, 50.0, LossWeights(lambda1=0.0, lambda2=0.0))
         assert report.total == 4.2
 
-    def test_lambda3_carried_but_unused(self):
-        with_l3 = total_loss(1.0, 1.0, 1.0, LossWeights(lambda3=99.0))
-        without = total_loss(1.0, 1.0, 1.0, LossWeights(lambda3=0.0))
-        assert with_l3.total == without.total
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             total_loss(float("nan"), 0.0, 0.0, LossWeights())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from sinkhorn_nms import (
     Marginals,
@@ -18,6 +19,7 @@ from sinkhorn_nms import (
     verify_contraction,
 )
 from sinkhorn_nms.rng import SplitMix64
+from sinkhorn_nms.sinkhorn import _lse
 from sinkhorn_nms.verification import central_difference, normalized_error, random_matrix
 
 # Closed form for C=[[0,1],[1,0]], tau=1, uniform marginals: the scaled
@@ -129,13 +131,24 @@ class TestSolve:
     def test_linear_mode_underflow_raises(self):
         # the first row of exp(-C) underflows to zero entirely
         C = np.array([[4000.0, 4000.0], [0.0, 1.0]])
+        marg = Marginals.uniform(2, 2)
         with pytest.raises(NumericalError, match="log_domain"):
-            solve(C, SinkhornParams(tau=1.0, iters=10, tol=1e-9, log_domain=False),
-                  Marginals.uniform(2, 2))
+            solve(C, SinkhornParams(tau=1.0, iters=10, tol=1e-9, log_domain=False), marg)
         # the advertised remedy works
-        S = solve(C, SinkhornParams(tau=1.0, iters=10, tol=1e-9, log_domain=True),
-                  Marginals.uniform(2, 2))
+        log_params = SinkhornParams(tau=1.0, iters=10, tol=1e-9, log_domain=True)
+        S = solve(C, log_params, marg)
         assert np.isfinite(S.matrix).all()
+        # auto mode starts linear at tau = 1 and falls back to the same log run
+        auto_params = SinkhornParams(tau=1.0, iters=10, tol=1e-9)
+        auto = solve(C, auto_params, marg)
+        assert auto.log_domain is True
+        for field in ("matrix", "u", "v"):
+            assert np.array_equal(getattr(auto, field), getattr(S, field))
+        assert auto.violations == S.violations
+        assert auto.iterations == S.iterations
+        U = np.array([[1.0, -1.0], [0.5, 0.0]])
+        assert np.array_equal(grad_unrolled(C, auto_params, marg, U),
+                              grad_unrolled(C, log_params, marg, U))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -153,6 +166,26 @@ class TestSolve:
         assert SinkhornParams(tau=0.1).resolve_log_domain() is True
         assert SinkhornParams(tau=0.5).resolve_log_domain() is False
         assert SinkhornParams(tau=0.1, log_domain=False).resolve_log_domain() is False
+
+
+class TestLogSumExp:
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.floats(0.1, 100.0),
+        ),
+        st.sampled_from([None, 0, 1]),
+        st.booleans(),
+        st.sampled_from([0, 1]),
+    )
+    def test_bitwise_equal_to_scipy(self, x, decimals, negate, axis):
+        # rounding creates tied maxima; negation covers both signs
+        if decimals is not None:
+            x = np.round(x, decimals)
+        if negate:
+            x = -x
+        assert np.array_equal(_lse(x, axis), logsumexp(x, axis=axis))
 
 
 positive_matrices = hnp.arrays(
