@@ -8,10 +8,10 @@ the associated losses with verified gradients, classical NMS baselines, and
 harnesses that empirically check the solver's convergence guarantees.
 """
 
-from .baselines import greedy_nms, pairwise_iou, soft_nms
+from .baselines import greedy_nms, soft_nms
 from .clustering import Centroids, KMeansResult, estimate_k, init_centroids, kmeans
 from .cost import CostMatrix, CostWeights, build_cost, feature_distance, kappa, spatial_distance
-from .geometry import Box, Mask, iou, quality_score, total_variation
+from .geometry import Box, Mask, iou, iou_matrix, quality_score, total_variation
 from .hungarian import Assignment, hungarian_solve, kl_divergence
 from .losses import (
     LossReport,
@@ -121,13 +121,13 @@ __all__ = [
     "hungarian_solve",
     "init_centroids",
     "iou",
+    "iou_matrix",
     "kappa",
     "kl_divergence",
     "kmeans",
     "line_search",
     "lmo_entropy",
     "matching_loss",
-    "pairwise_iou",
     "quality_labels",
     "quality_score",
     "soft_nms",

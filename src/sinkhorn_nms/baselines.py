@@ -2,29 +2,18 @@
 
 Both are deterministic: candidates are processed in descending score order
 with ties broken by lower proposal id, and outputs preserve the input order.
+Memory is O(M): each visited proposal computes one IoU row against the
+remaining candidates, and no M x M overlap matrix is ever formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
+from .geometry import iou_matrix
 from .proposals import ProposalSet
-
-
-def pairwise_iou(boxes: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) IoU matrix for boxes given as an (n, 4) array."""
-    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    areas = (x2 - x1) * (y2 - y1)
-    iw = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
-    ih = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    union = areas[:, None] + areas[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(union > 0.0, inter / union, 0.0)
-    return out
 
 
 def _processing_order(pset: ProposalSet) -> list[int]:
@@ -41,18 +30,17 @@ def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
         raise ValueError("iou_thresh must lie strictly between 0 and 1")
     if len(pset) == 0:
         return pset
-    ious = pairwise_iou(pset.boxes())
+    boxes = pset.boxes()
     suppressed = np.zeros(len(pset), dtype=bool)
-    kept: list[int] = []
+    kept = np.zeros(len(pset), dtype=bool)
     for i in _processing_order(pset):
         if suppressed[i]:
             continue
-        kept.append(i)
+        kept[i] = True
         # only kept boxes suppress; a box never outlives its own row update
-        # because it is appended first
-        suppressed |= ious[i] > iou_thresh
-    kept_set = set(kept)
-    survivors = tuple(p for idx, p in enumerate(pset) if idx in kept_set)
+        # because it is marked kept first
+        suppressed |= iou_matrix(boxes[i : i + 1], boxes)[0] > iou_thresh
+    survivors = tuple(p for p, k in zip(pset, kept) if k)
     return replace(pset, proposals=survivors)
 
 
@@ -68,23 +56,18 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
         raise ValueError("sigma must be positive")
     if len(pset) == 0:
         return pset
-    ious = pairwise_iou(pset.boxes())
-    order = _processing_order(pset)
-    scores = {i: pset.proposals[i].score for i in order}
-    dropped: set[int] = set()
-    kept: list[int] = []
+    boxes = pset.boxes()
+    scores = pset.scores()
+    order = np.array(_processing_order(pset))
+    # a proposal leaves ``alive`` only before its visit, so it ends as the kept set
+    alive = np.ones(len(pset), dtype=bool)
     for pos, i in enumerate(order):
-        if i in dropped:
+        if not alive[i]:
             continue
-        kept.append(i)
-        for j in order[pos + 1 :]:
-            if j in dropped:
-                continue
-            scores[j] *= math.exp(-(ious[i, j] ** 2) / sigma)
-            if scores[j] < score_floor:
-                dropped.add(j)
-    kept_set = set(kept)
-    survivors = tuple(
-        replace(p, score=scores[idx]) for idx, p in enumerate(pset) if idx in kept_set
-    )
+        later = order[pos + 1 :]
+        later = later[alive[later]]
+        row = iou_matrix(boxes[i : i + 1], boxes[later])[0]
+        scores[later] *= np.exp(-(row**2) / sigma)
+        alive[later] = ~(scores[later] < score_floor)
+    survivors = tuple(replace(p, score=float(s)) for p, s, k in zip(pset, scores, alive) if k)
     return replace(pset, proposals=survivors)

@@ -127,11 +127,9 @@ def kappa(C: CostMatrix | np.ndarray) -> float:
     the quadruple difference equals (C[i,j]-C[i,l]) - (C[k,j]-C[k,l]), whose
     maximum over rows is the spread of the column-difference vector.
     """
-    values = cost_values(C)
+    V = np.ascontiguousarray(cost_values(C).T)
     best = 0.0
-    K = values.shape[1]
-    for j in range(K):
-        for l in range(j + 1, K):
-            d = values[:, j] - values[:, l]
-            best = max(best, float(d.max() - d.min()))
+    for j in range(V.shape[0] - 1):
+        d = V[j + 1 :] - V[j]
+        best = max(best, float((d.max(axis=1) - d.min(axis=1)).max()))
     return best

@@ -84,16 +84,21 @@ def write_proposal_file(path: str | Path, pset: ProposalSet) -> None:
     Path(path).write_text("\n".join(proposal_set_to_lines(pset)) + "\n")
 
 
-def read_proposal_file(path: str | Path) -> ProposalSet:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+def _read_header(path: str | Path, fmt: str) -> tuple[dict, list[str]]:
+    """Header object and all lines of a JSON Lines file of format ``fmt``."""
+    lines = Path(path).read_text().splitlines()
     if not lines:
         raise ProposalFileError(1, "empty file, expected a header object")
     header = _parse_line(lines[0], 1)
-    if header.get("format") != PROPOSALS_FORMAT:
-        raise ProposalFileError(1, f"expected format {PROPOSALS_FORMAT!r}")
+    if header.get("format") != fmt:
+        raise ProposalFileError(1, f"expected format {fmt!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ProposalFileError(1, f"unsupported version {header.get('version')!r}")
+    return header, lines
+
+
+def read_proposal_file(path: str | Path) -> ProposalSet:
+    header, lines = _read_header(path, PROPOSALS_FORMAT)
     try:
         image_width = float(header["image_width"])
         image_height = float(header["image_height"])
@@ -148,12 +153,7 @@ def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ProposalFileError(1, "empty file, expected a header object")
-    header = _parse_line(lines[0], 1)
-    if header.get("format") != GROUND_TRUTH_FORMAT:
-        raise ProposalFileError(1, f"expected format {GROUND_TRUTH_FORMAT!r}")
+    _, lines = _read_header(path, GROUND_TRUTH_FORMAT)
     boxes = []
     labels = []
     for line_no, line in enumerate(lines[1:], start=2):

@@ -1,8 +1,9 @@
 """Axis-aligned box and soft-mask primitives.
 
 Boxes are corner-encoded real rectangles; area is (x2 - x1) * (y2 - y1) with
-no pixel convention attached. Masks are 2-d grids of occupancy values in
-[0, 1]; binary masks are the {0, 1} special case.
+no pixel convention attached, and ``iou_matrix`` is the package's single IoU
+kernel: every overlap, scalar or batched, is computed by it. Masks are 2-d
+grids of occupancy values in [0, 1]; binary masks are the {0, 1} special case.
 """
 
 from __future__ import annotations
@@ -67,26 +68,33 @@ class Mask:
         return int(self.values.shape[1])
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0.0 when the union has no area.
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) IoU between corner-encoded (n, 4) and (m, 4) box arrays.
 
-    Degenerate (zero-area) boxes are allowed and never intersect anything
-    with positive measure, so two degenerate boxes give 0.0.
+    Entries whose union has no area are 0.0. Degenerate (zero-area) boxes are
+    allowed and never intersect anything with positive measure, so two
+    degenerate boxes give 0.0.
     """
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    ax1, ay1, ax2, ay2 = (a[:, c, None] for c in range(4))
+    bx1, by1, bx2, by2 = (b[:, c] for c in range(4))
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes; 0.0 when the union has no area."""
+    return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
 
 
 def quality_score(p: Box, gts: Sequence[Box]) -> float:
     """Maximum IoU between ``p`` and any ground-truth box; 0.0 when none exist."""
     if not gts:
         return 0.0
-    return max(iou(p, gt) for gt in gts)
+    return float(iou_matrix(p.as_array()[None], np.array([g.as_array() for g in gts])).max())
 
 
 def total_variation(m: Mask) -> float:

@@ -116,6 +116,7 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     boxes = pset.boxes()
     scores = pset.scores()
     feats = pset.features()
+    carriers = _mask_carriers(pset)
     refined: list[RefinedProposal] = []
     for k in range(K):
         col = Sm[:, k]
@@ -126,7 +127,7 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
         box_vals = _weighted_aggregate(boxes, w)
         score = float(_weighted_aggregate(scores[:, None], w)[0])
         feature = _weighted_aggregate(feats, w)
-        mask = _aggregate_masks(pset, w)
+        mask = _aggregate_masks(carriers, w)
         refined.append(
             RefinedProposal(
                 box=Box(*box_vals),
@@ -139,21 +140,24 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     return refined
 
 
-def _aggregate_masks(pset: ProposalSet, w: np.ndarray) -> Mask | None:
-    carriers = [(i, p.mask) for i, p in enumerate(pset) if p.mask is not None]
-    if not carriers:
+def _mask_carriers(pset: ProposalSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """Indices of the proposals that carry a mask, and their stacked grids."""
+    idx = [i for i, p in enumerate(pset) if p.mask is not None]
+    grids = [pset.proposals[i].mask.values for i in idx]
+    if len({g.shape for g in grids}) > 1:
+        raise ValueError("masks must share a common grid to be aggregated")
+    return (np.array(idx), np.stack(grids)) if idx else None
+
+
+def _aggregate_masks(carriers: tuple[np.ndarray, np.ndarray] | None, w: np.ndarray) -> Mask | None:
+    if carriers is None:
         return None
-    shape = carriers[0][1].values.shape
-    for _, m in carriers:
-        if m.values.shape != shape:
-            raise ValueError("masks must share a common grid to be aggregated")
-    idx = np.array([i for i, _ in carriers])
+    idx, stack = carriers
     sub = w[idx]
     total = float(sub.sum())
     if total <= 0.0:
         return None
     sub = sub / total
-    stack = np.stack([m.values for _, m in carriers])
     base = stack[int(np.argmax(sub))]
     values = base + (sub[:, None, None] * (stack - base)).sum(axis=0)
     return Mask(np.clip(values, 0.0, 1.0))

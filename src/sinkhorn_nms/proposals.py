@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import Box, Mask, iou
+from .geometry import Box, Mask, iou_matrix
 from .rng import SplitMix64
 
 # Per-component magnitude of the uniform noise added to feature prototypes.
@@ -164,19 +164,24 @@ def synth_generate(cfg: SynthConfig) -> tuple[ProposalSet, GroundTruth]:
 
     proposals: list[Proposal] = []
     for r, (gt_box, proto) in enumerate(zip(gt_boxes, prototypes)):
-        for p in range(cfg.proposals_per_region):
+        drawn = []
+        for _ in range(cfg.proposals_per_region):
             dx = rng.uniform(-cfg.jitter, cfg.jitter)
             dy = rng.uniform(-cfg.jitter, cfg.jitter)
             box = Box(gt_box.x1 + dx, gt_box.y1 + dy, gt_box.x2 + dx, gt_box.y2 + dy)
             noise = rng.uniform(-cfg.score_noise, cfg.score_noise)
-            score = min(1.0, max(0.0, iou(box, gt_box) + noise))
             feature = proto + FEATURE_NOISE * np.array(
                 [rng.uniform(-1.0, 1.0) for _ in range(cfg.feature_dim)]
             )
+            drawn.append((box, noise, feature))
+        # scored once per region after the draws, which keeps the RNG order
+        region = np.array([b.as_array() for b, _, _ in drawn])
+        overlaps = iou_matrix(region, gt_box.as_array()[None])[:, 0]
+        for p, ((box, noise, feature), overlap) in enumerate(zip(drawn, overlaps)):
             proposals.append(
                 Proposal(
                     id=r * cfg.proposals_per_region + p,
-                    score=score,
+                    score=min(1.0, max(0.0, float(overlap) + noise)),
                     box=box,
                     feature=feature,
                 )

@@ -40,6 +40,26 @@ def kappa_bruteforce(values: np.ndarray) -> float:
     return best
 
 
+def kappa_column_pairs(values: np.ndarray) -> float:
+    """Reference: the earlier double loop over column pairs, unchanged."""
+    best = 0.0
+    K = values.shape[1]
+    for j in range(K):
+        for l in range(j + 1, K):
+            d = values[:, j] - values[:, l]
+            best = max(best, float(d.max() - d.min()))
+    return best
+
+
+@st.composite
+def kappa_inputs(draw) -> np.ndarray:
+    shape = st.tuples(st.integers(1, 59), st.integers(1, 19))
+    values = draw(hnp.arrays(np.float64, shape, elements=finite))
+    if draw(st.booleans()):
+        values = np.round(values, 1)  # ties in the column differences
+    return values
+
+
 class TestFeatureDistance:
     def test_identical(self):
         f = np.array([0.3, 0.4])
@@ -187,6 +207,12 @@ class TestKappa:
     @given(matrices, st.floats(min_value=-4, max_value=4, allow_nan=False))
     def test_absolute_homogeneity(self, values, c):
         assert kappa(c * values) == pytest.approx(abs(c) * kappa(values), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa_inputs())
+    def test_bitwise_equal_to_column_pair_loop(self, values):
+        assert kappa(values) == kappa_column_pairs(values)
+        assert kappa(CostMatrix(values)) == kappa_column_pairs(values)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -140,6 +140,14 @@ class TestProposalFileErrors:
         with pytest.raises(ProposalFileError, match="line 1"):
             read_proposal_file(path)
 
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "v2.jsonl"
+        header = json.dumps({"format": "proposals", "version": 2, "image_width": 10.0,
+                             "image_height": 10.0, "feature_dim": 1})
+        path.write_text(header + "\n")
+        with pytest.raises(ProposalFileError, match="line 1: unsupported version 2"):
+            read_proposal_file(path)
+
 
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
@@ -158,6 +166,14 @@ class TestGroundTruthFile:
         path = tmp_path / "gt.jsonl"
         write_ground_truth(path, gt)
         assert read_ground_truth(path).boxes == gt.boxes
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        header = json.dumps({"format": "ground-truth", "version": 2})
+        record = json.dumps({"box": [0.0, 0.0, 1.0, 1.0], "label": 0})
+        path.write_text(header + "\n" + record + "\n")
+        with pytest.raises(ProposalFileError, match="line 1: unsupported version 2"):
+            read_ground_truth(path)
 
 
 class TestRunReport:

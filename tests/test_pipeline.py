@@ -236,6 +236,11 @@ class TestGreedyNms:
         kept = greedy_nms(three_box_set, 0.7)
         assert [p.id for p in kept] == [0, 1, 2]
 
+    def test_iou_equal_to_threshold_not_suppressed(self, three_box_set):
+        # B overlaps A at IoU exactly 0.6; suppression needs a strictly larger IoU
+        kept = greedy_nms(three_box_set, 0.6)
+        assert [p.id for p in kept] == [0, 1, 2]
+
     def test_single_proposal(self, three_box_set):
         single = dataclasses.replace(three_box_set, proposals=three_box_set.proposals[:1])
         kept = greedy_nms(single, 0.5)

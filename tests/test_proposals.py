@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -26,6 +28,31 @@ def test_deterministic_byte_level():
     a, _ = synth_generate(cfg)
     b, _ = synth_generate(cfg)
     assert proposal_set_to_lines(a) == proposal_set_to_lines(b)
+
+
+# SHA-256 of the scenes below as generated by the per-proposal scalar-IoU
+# scorer that preceded the one-call-per-region scorer; any change to RNG call
+# order or score arithmetic moves it.
+SYNTH_DIGEST = "c1c6da35ec7798bbbebe094aab03098c990facccc953a4ffcee39fd8266c07c0"
+SYNTH_DIGEST_CONFIGS = [
+    SynthConfig(num_regions=1, proposals_per_region=1, seed=0),
+    SynthConfig(num_regions=4, proposals_per_region=8, jitter=3.0, score_noise=0.05, seed=1),
+    SynthConfig(num_regions=6, proposals_per_region=5, jitter=12.0, score_noise=0.5, seed=2),
+    SynthConfig(num_regions=3, proposals_per_region=7, jitter=40.0, score_noise=0.2,
+                feature_dim=3, image_width=400.0, image_height=300.0, seed=123456789),
+    SynthConfig(num_regions=16, proposals_per_region=16, jitter=4.0, score_noise=0.05, seed=42),
+]
+
+
+def test_bit_identical_to_recorded_digest():
+    h = hashlib.sha256()
+    for cfg in SYNTH_DIGEST_CONFIGS:
+        pset, _ = synth_generate(cfg)
+        for p in pset:
+            h.update(struct.pack("<qd", p.id, p.score))
+            h.update(p.box.as_array().tobytes())
+            h.update(p.feature.tobytes())
+    assert h.hexdigest() == SYNTH_DIGEST
 
 
 def test_different_seeds_differ():
