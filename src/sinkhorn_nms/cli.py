@@ -3,7 +3,7 @@
 Subcommands: ``synth`` (generate a scene), ``run`` (full pipeline on a
 proposal file), ``gradcheck`` (derivatives vs finite differences),
 ``convergence`` (contraction and refinement guarantees), ``bench``
-(wall-clock comparison against the baselines).
+(median ``pipeline.compare`` timings against the baselines).
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error, 3 numerical
 failure.  All reports are deterministic given flags and seed; wall-clock
@@ -18,23 +18,17 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import formats
 from .cost import CostWeights
-from .pipeline import (
-    DEFAULT_SOFT_NMS_SIGMA,
-    AdaptiveKParams,
-    PipelineConfig,
-    dnms,
-    greedy_nms,
-    soft_nms,
-)
+from .pipeline import AdaptiveKParams, PipelineConfig, compare, dnms
 from .proposals import SynthConfig, synth_generate, validate
 from .refine import RefineParams
 from .sinkhorn import NumericalError, SinkhornParams
 from .verification import (
+    GradCheckReport,
     convergence_sweep,
     gradcheck_matching,
     gradcheck_unrolled,
@@ -231,44 +225,33 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _gradcheck_section(check: GradCheckReport) -> dict:
+    return {
+        "max_error": check.max_error,
+        "threshold": check.threshold,
+        "passed": check.passed,
+        "trials": len(check.trials),
+    }
+
+
 def _cmd_gradcheck(args) -> int:
-    unrolled = gradcheck_unrolled(
+    common = dict(
         m_max=args.m,
         k_max=args.k,
         tau=args.tau,
         iters=args.iters,
         trials=args.trials,
-        seed=args.seed,
         fd_step=args.fd_step,
         threshold=args.threshold,
     )
-    matching = gradcheck_matching(
-        m_max=args.m,
-        k_max=args.k,
-        tau=args.tau,
-        iters=args.iters,
-        trials=args.trials,
-        seed=args.seed + 1,
-        fd_step=args.fd_step,
-        lambda_kl=args.lambda_kl,
-        threshold=args.threshold,
-    )
+    unrolled = gradcheck_unrolled(seed=args.seed, **common)
+    matching = gradcheck_matching(seed=args.seed + 1, lambda_kl=args.lambda_kl, **common)
     jacobian = jacobian_formula_check(trials=min(args.trials, 20), tau=args.tau, seed=args.seed + 2)
     report = {
         "format": "gradcheck-report",
         "version": formats.FORMAT_VERSION,
-        "unrolled": {
-            "max_error": unrolled.max_error,
-            "threshold": unrolled.threshold,
-            "passed": unrolled.passed,
-            "trials": len(unrolled.trials),
-        },
-        "matching": {
-            "max_error": matching.max_error,
-            "threshold": matching.threshold,
-            "passed": matching.passed,
-            "trials": len(matching.trials),
-        },
+        "unrolled": _gradcheck_section(unrolled),
+        "matching": _gradcheck_section(matching),
         "jacobian_formula": {
             "softmax_max_error": jacobian.softmax_max_error,
             "threshold": jacobian.threshold,
@@ -305,27 +288,10 @@ def _cmd_convergence(args) -> int:
     report = {
         "format": "convergence-report",
         "version": formats.FORMAT_VERSION,
-        "contraction": [
-            {
-                "tau": r.tau,
-                "trial": r.trial,
-                "m": r.m,
-                "k": r.k,
-                "max_ratio": r.max_ratio,
-                "rate_bound": r.rate_bound,
-                "passed": r.passed,
-            }
-            for r in sweep.contraction
-        ],
+        "contraction": [asdict(r) for r in sweep.contraction],
+        # A row's feasibility is already folded into its "passed".
         "frank_wolfe": [
-            {
-                "trial": r.trial,
-                "k": r.k,
-                "tau_H": r.tau_H,
-                "gap": r.gap,
-                "iterations": r.iterations,
-                "passed": r.passed,
-            }
+            {key: v for key, v in asdict(r).items() if key != "feasible"}
             for r in sweep.frank_wolfe
         ],
         "passed": sweep.passed,
@@ -362,18 +328,10 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
 
-    def median_ms(fn) -> float:
-        times = []
-        for _ in range(args.reps):
-            start = time.perf_counter()
-            fn()
-            times.append((time.perf_counter() - start) * 1e3)
-        return float(statistics.median(times))
-
+    runs = [compare(pset, gt, pipe_cfg) for _ in range(args.reps)]
     timings = {
-        "dnms_ms": median_ms(lambda: dnms(pset, gt, pipe_cfg)),
-        "greedy_nms_ms": median_ms(lambda: greedy_nms(pset, 0.5)),
-        "soft_nms_ms": median_ms(lambda: soft_nms(pset, DEFAULT_SOFT_NMS_SIGMA, 0.05)),
+        f"{name}_ms": statistics.median(run[name].wall_clock_s * 1e3 for run in runs)
+        for name in runs[0]
     }
     report = {
         "format": "bench-report",

@@ -33,6 +33,9 @@ class CostWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("cost weights must be nonnegative")
         if self.alpha == self.beta == self.gamma == 0.0:

@@ -34,10 +34,6 @@ class ProposalFileError(ValueError):
         self.line = line
 
 
-def _dump_line(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON document: sorted keys, compact, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
@@ -59,6 +55,7 @@ def _mask_from_record(rec: dict) -> Mask:
 
 
 def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
+    """Canonical lines of a proposal file, each ending in a newline."""
     header = {
         "format": PROPOSALS_FORMAT,
         "version": FORMAT_VERSION,
@@ -66,7 +63,7 @@ def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
         "image_height": pset.image_height,
         "feature_dim": pset.feature_dim,
     }
-    lines = [_dump_line(header)]
+    lines = [dumps_canonical(header)]
     for p in pset:
         rec: dict[str, Any] = {
             "id": p.id,
@@ -76,12 +73,12 @@ def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
         }
         if p.mask is not None:
             rec["mask"] = _mask_to_record(p.mask)
-        lines.append(_dump_line(rec))
+        lines.append(dumps_canonical(rec))
     return lines
 
 
 def write_proposal_file(path: str | Path, pset: ProposalSet) -> None:
-    Path(path).write_text("\n".join(proposal_set_to_lines(pset)) + "\n")
+    Path(path).write_text("".join(proposal_set_to_lines(pset)))
 
 
 def _read_header(path: str | Path, fmt: str) -> tuple[dict, list[str]]:
@@ -144,12 +141,12 @@ def _parse_line(line: str, line_no: int) -> dict:
 
 def write_ground_truth(path: str | Path, gt: GroundTruth) -> None:
     header = {"format": GROUND_TRUTH_FORMAT, "version": FORMAT_VERSION}
-    lines = [_dump_line(header)]
+    lines = [dumps_canonical(header)]
     for box, label in zip(gt.boxes, gt.labels):
         lines.append(
-            _dump_line({"box": [box.x1, box.y1, box.x2, box.y2], "label": label})
+            dumps_canonical({"box": [box.x1, box.y1, box.x2, box.y2], "label": label})
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("".join(lines))
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
@@ -198,16 +195,7 @@ def run_report(
         "version": FORMAT_VERSION,
         "config": asdict(cfg),
         "refined": [_refined_to_record(r) for r in refined],
-        "diagnostics": {
-            "k": diagnostics.k,
-            "kappa": diagnostics.kappa,
-            "rate_bound": diagnostics.rate_bound,
-            "marginal_violations": list(diagnostics.marginal_violations),
-            "sinkhorn_iterations": diagnostics.sinkhorn_iterations,
-            "log_domain": diagnostics.log_domain,
-            "fw_iterations": diagnostics.fw_iterations,
-            "fw_objective": list(diagnostics.fw_objective),
-        },
+        "diagnostics": asdict(diagnostics),
     }
 
 

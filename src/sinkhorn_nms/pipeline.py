@@ -220,35 +220,19 @@ def compare(
     if gt is None or len(gt.boxes) == 0:
         raise ValueError("compare requires non-empty ground truth")
 
-    def mean_quality(boxes: list[Box]) -> float:
-        return float(np.mean([quality_score(b, gt.boxes) for b in boxes]))
-
+    methods = {
+        "dnms": lambda: dnms(pset, gt, cfg)[0],
+        "greedy_nms": lambda: greedy_nms(pset, cfg.adaptive.iou_thresh),
+        "soft_nms": lambda: soft_nms(pset, DEFAULT_SOFT_NMS_SIGMA, cfg.adaptive.score_floor),
+    }
     out: dict[str, MethodMetrics] = {}
-
-    start = time.perf_counter()
-    refined, _ = dnms(pset, gt, cfg)
-    elapsed = time.perf_counter() - start
-    out["dnms"] = MethodMetrics(
-        mean_quality=mean_quality([r.box for r in refined]),
-        count=len(refined),
-        wall_clock_s=elapsed,
-    )
-
-    start = time.perf_counter()
-    kept = greedy_nms(pset, cfg.adaptive.iou_thresh)
-    elapsed = time.perf_counter() - start
-    out["greedy_nms"] = MethodMetrics(
-        mean_quality=mean_quality([p.box for p in kept]),
-        count=len(kept),
-        wall_clock_s=elapsed,
-    )
-
-    start = time.perf_counter()
-    decayed = soft_nms(pset, DEFAULT_SOFT_NMS_SIGMA, cfg.adaptive.score_floor)
-    elapsed = time.perf_counter() - start
-    out["soft_nms"] = MethodMetrics(
-        mean_quality=mean_quality([p.box for p in decayed]),
-        count=len(decayed),
-        wall_clock_s=elapsed,
-    )
+    for name, method in methods.items():
+        start = time.perf_counter()
+        kept = method()
+        elapsed = time.perf_counter() - start
+        out[name] = MethodMetrics(
+            mean_quality=float(np.mean([quality_score(p.box, gt.boxes) for p in kept])),
+            count=len(kept),
+            wall_clock_s=elapsed,
+        )
     return out

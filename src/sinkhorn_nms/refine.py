@@ -54,6 +54,9 @@ class RefineParams:
     bisect_eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("tau_H", "delta", "lambda_min", "lambda_max", "bisect_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau_H < 0:
             raise ValueError("tau_H must be nonnegative")
         if self.t_max < 1:

@@ -44,6 +44,7 @@ measured by the verification harness rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,6 +76,9 @@ class SinkhornParams:
     log_domain: bool | None = None  # None: log mode for tau < 0.5 or on underflow
 
     def __post_init__(self):
+        for name in ("tau", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.iters < 1:

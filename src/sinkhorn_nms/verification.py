@@ -1,6 +1,7 @@
 """Empirical verification harnesses: gradient checks and convergence sweeps.
 
-Gradient checks compare reverse-mode derivatives against central finite
+Both gradient checks (the unrolled solver and the matching loss) run on one
+driver that compares reverse-mode derivatives against central finite
 differences on seeded random instances.  Errors are normalized by the
 largest finite-difference magnitude, so the reported number is
 max|g - g_fd| / max|g_fd|.  Convergence sweeps run the Hilbert-metric
@@ -19,7 +20,7 @@ import numpy as np
 
 from .hungarian import hungarian_solve
 from .losses import grad_matching_wrt_cost, matching_loss
-from .refine import RefineParams, duality_gap, entropy, frank_wolfe, lmo_entropy
+from .refine import RefineParams, _softmax_scaled, entropy, frank_wolfe, lmo_entropy
 from .rng import SplitMix64
 from .sinkhorn import (
     Marginals,
@@ -103,6 +104,50 @@ def _sizes(rng: SplitMix64, m_max: int, k_max: int) -> tuple[int, int]:
     return 2 + rng.randint(max(1, m_max - 1)), 2 + rng.randint(max(1, k_max - 1))
 
 
+def _gradcheck(
+    kind: str,
+    case: Callable,
+    m_max: int,
+    k_max: int,
+    tau: float,
+    iters: int,
+    trials: int,
+    seed: int,
+    fd_step: float,
+    threshold: float | None,
+) -> GradCheckReport:
+    """Finite-difference check loop shared by both gradient checks.
+
+    Each trial draws its sizes and C from ``rng``; ``case(rng, C, params,
+    marg)`` may draw further inputs and returns the derivative under test
+    together with the scalar loss of C that it differentiates.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    threshold = fd_threshold(tau) if threshold is None else threshold
+    rng = SplitMix64(seed)
+    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
+    results = []
+    for t in range(trials):
+        m, k = _sizes(rng, m_max, k_max)
+        C = random_matrix(rng, m, k)
+        grad, loss = case(rng, C, params, Marginals.uniform(m, k))
+        fd = central_difference(loss, C, fd_step)
+        results.append(GradCheckTrial(seed=t, m=m, k=k, error=normalized_error(grad, fd)))
+    max_error = max(r.error for r in results)
+    return GradCheckReport(
+        kind=kind,
+        tau=tau,
+        iters=iters,
+        fd_step=fd_step,
+        threshold=threshold,
+        trials=tuple(results),
+        max_error=max_error,
+        passed=max_error < threshold,
+        note=_step_note(fd_step),
+    )
+
+
 def gradcheck_unrolled(
     m_max: int = 5,
     k_max: int = 4,
@@ -114,34 +159,15 @@ def gradcheck_unrolled(
     threshold: float | None = None,
 ) -> GradCheckReport:
     """Unrolled solver derivative versus central differences of <U, S(C)>."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    threshold = fd_threshold(tau) if threshold is None else threshold
-    rng = SplitMix64(seed)
-    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
-    results = []
-    for t in range(trials):
-        m, k = _sizes(rng, m_max, k_max)
-        C = random_matrix(rng, m, k)
-        U = random_matrix(rng, m, k, -1.0, 1.0)
-        marg = Marginals.uniform(m, k)
-        grad = grad_unrolled(C, params, marg, U)
-        fd = central_difference(
-            lambda X: float((U * solve(X, params, marg).matrix).sum()), C, fd_step
+
+    def case(rng, C, params, marg):
+        U = random_matrix(rng, *C.shape, -1.0, 1.0)
+        return (
+            grad_unrolled(C, params, marg, U),
+            lambda X: float((U * solve(X, params, marg).matrix).sum()),
         )
-        results.append(GradCheckTrial(seed=t, m=m, k=k, error=normalized_error(grad, fd)))
-    max_error = max(r.error for r in results)
-    return GradCheckReport(
-        kind="unrolled",
-        tau=tau,
-        iters=iters,
-        fd_step=fd_step,
-        threshold=threshold,
-        trials=tuple(results),
-        max_error=max_error,
-        passed=max_error < threshold,
-        note=_step_note(fd_step),
-    )
+
+    return _gradcheck("unrolled", case, m_max, k_max, tau, iters, trials, seed, fd_step, threshold)
 
 
 def gradcheck_matching(
@@ -160,36 +186,15 @@ def gradcheck_matching(
     The discrete matching is frozen at the base point, matching the
     derivative's piecewise-constant treatment of it.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    threshold = fd_threshold(tau) if threshold is None else threshold
-    rng = SplitMix64(seed)
-    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
-    results = []
-    for t in range(trials):
-        m, k = _sizes(rng, m_max, k_max)
-        C = random_matrix(rng, m, k)
-        marg = Marginals.uniform(m, k)
+
+    def case(rng, C, params, marg):
         Pstar = hungarian_solve(C)
-        grad = grad_matching_wrt_cost(C, params, marg, Pstar, lambda_kl)
-        fd = central_difference(
+        return (
+            grad_matching_wrt_cost(C, params, marg, Pstar, lambda_kl),
             lambda X: matching_loss(X, solve(X, params, marg), Pstar, lambda_kl),
-            C,
-            fd_step,
         )
-        results.append(GradCheckTrial(seed=t, m=m, k=k, error=normalized_error(grad, fd)))
-    max_error = max(r.error for r in results)
-    return GradCheckReport(
-        kind="matching",
-        tau=tau,
-        iters=iters,
-        fd_step=fd_step,
-        threshold=threshold,
-        trials=tuple(results),
-        max_error=max_error,
-        passed=max_error < threshold,
-        note=_step_note(fd_step),
-    )
+
+    return _gradcheck("matching", case, m_max, k_max, tau, iters, trials, seed, fd_step, threshold)
 
 
 def _step_note(fd_step: float) -> str | None:
@@ -218,13 +223,6 @@ class JacobianCheckReport:
     threshold: float
 
 
-def _global_softmax(values: np.ndarray, tau: float) -> np.ndarray:
-    z = -values / tau
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def jacobian_formula_check(
     trials: int = 20,
     m_max: int = 4,
@@ -244,10 +242,10 @@ def jacobian_formula_check(
         m, k = _sizes(rng, m_max, k_max)
         C = random_matrix(rng, m, k)
         U = random_matrix(rng, m, k, -1.0, 1.0)
-        S = _global_softmax(C, tau)
+        S = _softmax_scaled(-C, tau)
         grad = grad_analytic(S, tau, U)
         fd = central_difference(
-            lambda X: float((U * _global_softmax(X, tau)).sum()), C, fd_step
+            lambda X: float((U * _softmax_scaled(-X, tau)).sum()), C, fd_step
         )
         softmax_err = max(softmax_err, normalized_error(grad, fd))
 
@@ -386,9 +384,3 @@ def convergence_sweep(
     fw = frank_wolfe_sweep(trials=max(trials, 20), seed=seed + 1)
     passed = all(r.passed for r in contraction) and all(r.passed for r in fw)
     return ConvergenceSweepReport(contraction=contraction, frank_wolfe=fw, passed=passed)
-
-
-def duality_gap_at_optimum(q: np.ndarray, params: RefineParams) -> float:
-    """Duality gap evaluated at the Frank-Wolfe output (should be ~0)."""
-    result = frank_wolfe(q, params)
-    return duality_gap(result.p, q, params)

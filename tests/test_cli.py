@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sinkhorn_nms import cli
 from sinkhorn_nms.cli import main
 
 
@@ -98,6 +99,26 @@ class TestRun:
         code = run_cli("run", out, "--tau", 0.0, "--output", tmp_path / "r.json")
         assert code == 2
         assert "tau must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--entropy-threshold", "nan", "tau_H"),
+        ("--tau", "inf", "tau"),
+        ("--tol", "nan", "tol"),
+        ("--alpha", "nan", "alpha"),
+    ])
+    def test_non_finite_parameter_usage_error_before_pipeline(
+        self, scene, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        def pipeline_must_not_run(*args, **kwargs):
+            raise AssertionError("pipeline ran with a non-finite parameter")
+
+        monkeypatch.setattr(cli, "dnms", pipeline_must_not_run)
+        out, _ = scene
+        report_path = tmp_path / "r.json"
+        code = run_cli("run", out, "--k", 3, flag, value, "--output", report_path)
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_entropy_unit_bits(self, scene, tmp_path):
         out, gt_path = scene
@@ -244,6 +265,50 @@ class TestBench:
         ra.pop("timings_ms")
         rb.pop("timings_ms")
         assert ra == rb
+
+
+class TestReportSchema:
+    """Key sets of the reports, so a new result field enters a report only on purpose."""
+
+    def test_run_report_diagnostics_keys(self, scene, tmp_path):
+        out, gt_path = scene
+        report_path = tmp_path / "r.json"
+        assert run_cli("run", out, "--ground-truth", gt_path, "--k", 3,
+                       "--output", report_path) == 0
+        report = json.loads(report_path.read_text())
+        assert set(report) == {"format", "version", "config", "refined", "diagnostics"}
+        assert set(report["diagnostics"]) == {
+            "k", "kappa", "rate_bound", "marginal_violations", "sinkhorn_iterations",
+            "log_domain", "fw_iterations", "fw_objective",
+        }
+
+    def test_gradcheck_sections(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run_cli("gradcheck", "--trials", 2, "--output", out) == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {
+            "format", "version", "unrolled", "matching", "jacobian_formula",
+            "fd_step", "tau", "note",
+        }
+        for section in ("unrolled", "matching"):
+            assert set(report[section]) == {"max_error", "threshold", "passed", "trials"}
+            assert report[section]["trials"] == 2
+        assert set(report["jacobian_formula"]) == {
+            "softmax_max_error", "threshold", "passed", "sinkhorn_gap_reported",
+        }
+
+    def test_convergence_rows(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run_cli("convergence", "--trials", 2, "--m-max", 5, "--k-max", 4,
+                       "--output", out) == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {"format", "version", "contraction", "frank_wolfe", "passed"}
+        assert report["contraction"] and report["frank_wolfe"]
+        for row in report["contraction"]:
+            assert set(row) == {"tau", "trial", "m", "k", "max_ratio", "rate_bound", "passed"}
+        for row in report["frank_wolfe"]:
+            # feasibility is folded into "passed" and not reported separately
+            assert set(row) == {"trial", "k", "tau_H", "gap", "iterations", "passed"}
 
 
 class TestUsage:
