@@ -235,18 +235,12 @@ def _gradcheck_section(check: GradCheckReport) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
-    common = dict(
-        m_max=args.m,
-        k_max=args.k,
-        tau=args.tau,
-        iters=args.iters,
-        trials=args.trials,
-        fd_step=args.fd_step,
-        threshold=args.threshold,
-    )
+    # All three checks run at the same sizes, temperature, iterations and step.
+    shared = dict(m_max=args.m, k_max=args.k, tau=args.tau, iters=args.iters, fd_step=args.fd_step)
+    common = dict(shared, trials=args.trials, threshold=args.threshold)
     unrolled = gradcheck_unrolled(seed=args.seed, **common)
     matching = gradcheck_matching(seed=args.seed + 1, lambda_kl=args.lambda_kl, **common)
-    jacobian = jacobian_formula_check(trials=min(args.trials, 20), tau=args.tau, seed=args.seed + 2)
+    jacobian = jacobian_formula_check(trials=min(args.trials, 20), seed=args.seed + 2, **shared)
     report = {
         "format": "gradcheck-report",
         "version": formats.FORMAT_VERSION,

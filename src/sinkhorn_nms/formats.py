@@ -43,7 +43,7 @@ def _mask_to_record(mask: Mask) -> dict:
     return {
         "width": mask.width,
         "height": mask.height,
-        "values": [float(v) for v in mask.values.ravel()],
+        "values": mask.values.ravel().tolist(),
     }
 
 
@@ -69,7 +69,7 @@ def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
             "id": p.id,
             "score": p.score,
             "box": [p.box.x1, p.box.y1, p.box.x2, p.box.y2],
-            "feature": [float(v) for v in p.feature],
+            "feature": p.feature.tolist(),
         }
         if p.mask is not None:
             rec["mask"] = _mask_to_record(p.mask)
@@ -169,8 +169,8 @@ def _refined_to_record(r: RefinedProposal) -> dict:
     rec: dict[str, Any] = {
         "box": [r.box.x1, r.box.y1, r.box.x2, r.box.y2],
         "score": r.score,
-        "feature": [float(v) for v in r.feature],
-        "source_weights": [float(v) for v in r.source_weights],
+        "feature": r.feature.tolist(),
+        "source_weights": r.source_weights.tolist(),
     }
     if r.probability is not None:
         rec["probability"] = r.probability

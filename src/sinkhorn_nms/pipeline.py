@@ -2,9 +2,10 @@
 
 The pipeline clusters proposals into K latent regions, builds the assignment
 cost matrix, solves for the soft assignment with uniform marginals,
-aggregates each region's proposals by its normalized assignment weights, and
-refines per-region probabilities under the entropy constraint.  With ground
-truth present the refinement objective uses box-overlap quality scores; at
+aggregates the proposals of all regions in one contraction with the
+normalized assignment weights (masks one region at a time), and refines
+per-region probabilities under the entropy constraint.  With ground truth
+present the refinement objective uses box-overlap quality scores; at
 inference the aggregated scores stand in for them.
 """
 
@@ -89,16 +90,17 @@ class MethodMetrics:
     wall_clock_s: float
 
 
-def _weighted_aggregate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Convex combination computed relative to the heaviest contributor.
+def _combine(values: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
+    """Each row of ``W`` as convex weights over ``values``, clipped to ``[lo, hi]``.
 
-    Centering on the dominant value keeps the aggregate bit-exact when all
-    contributors coincide; the final clip enforces the convex envelope
-    against rounding.
+    Each row is centred on its heaviest contributor, which keeps the
+    combination bit-exact when all contributors coincide; the clip enforces
+    the convex envelope against rounding.
     """
-    base = values[int(np.argmax(weights))]
-    out = base + (weights[:, None] * (values - base)).sum(axis=0)
-    return np.clip(out, values.min(axis=0), values.max(axis=0))
+    base = values[np.argmax(W, axis=1)]
+    diff = values[None] - base[:, None]
+    diff *= W.reshape(W.shape + (1,) * (values.ndim - 1))
+    return np.clip(base + diff.sum(axis=1), lo, hi)
 
 
 def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[RefinedProposal]:
@@ -114,53 +116,41 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     if M != len(pset):
         raise ValueError(f"assignment has {M} rows but the set has {len(pset)} proposals")
     boxes = pset.boxes()
-    scores = pset.scores()
+    scores = pset.scores()[:, None]
     feats = pset.features()
-    carriers = _mask_carriers(pset)
-    refined: list[RefinedProposal] = []
-    for k in range(K):
-        col = Sm[:, k]
-        total = float(col.sum())
-        if total <= 0.0:
-            raise ValueError(f"empty latent region: column {k} has no mass")
-        w = col / total
-        box_vals = _weighted_aggregate(boxes, w)
-        score = float(_weighted_aggregate(scores[:, None], w)[0])
-        feature = _weighted_aggregate(feats, w)
-        mask = _aggregate_masks(carriers, w)
-        refined.append(
-            RefinedProposal(
-                box=Box(*box_vals),
-                score=score,
-                feature=feature,
-                mask=mask,
-                source_weights=w,
-            )
-        )
-    return refined
-
-
-def _mask_carriers(pset: ProposalSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """Indices of the proposals that carry a mask, and their stacked grids."""
-    idx = [i for i, p in enumerate(pset) if p.mask is not None]
-    grids = [pset.proposals[i].mask.values for i in idx]
+    carriers = [i for i, p in enumerate(pset) if p.mask is not None]
+    grids = [pset.proposals[i].mask.values for i in carriers]
     if len({g.shape for g in grids}) > 1:
         raise ValueError("masks must share a common grid to be aggregated")
-    return (np.array(idx), np.stack(grids)) if idx else None
-
-
-def _aggregate_masks(carriers: tuple[np.ndarray, np.ndarray] | None, w: np.ndarray) -> Mask | None:
-    if carriers is None:
-        return None
-    idx, stack = carriers
-    sub = w[idx]
-    total = float(sub.sum())
-    if total <= 0.0:
-        return None
-    sub = sub / total
-    base = stack[int(np.argmax(sub))]
-    values = base + (sub[:, None, None] * (stack - base)).sum(axis=0)
-    return Mask(np.clip(values, 0.0, 1.0))
+    # Contiguous rows make each total sum in the same order as the column alone.
+    St = np.ascontiguousarray(Sm.T)
+    totals = St.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0.0)
+    if empty.size:
+        raise ValueError(f"empty latent region: column {empty[0]} has no mass")
+    if K == 0:
+        return []
+    W = St / totals[:, None]
+    # The envelope is repeated per row: np.clip resolves a tie between +0.0
+    # and -0.0 differently when one bound value spans its whole inner loop.
+    box_vals, score_vals, feat_vals = (
+        _combine(v, W, np.tile(v.min(axis=0), (K, 1)), np.tile(v.max(axis=0), (K, 1)))
+        for v in (boxes, scores, feats)
+    )
+    # Masks go one column at a time: a (K, M, H, W) stack has no size bound.
+    masks: list[Mask | None] = [None] * K
+    if carriers:
+        stack = np.stack(grids)
+        for k in range(K):
+            sub = W[k, carriers]
+            total = sub.sum()
+            if total <= 0.0:
+                continue
+            masks[k] = Mask(_combine(stack, (sub / total)[None], 0.0, 1.0)[0])
+    return [
+        RefinedProposal(box=Box(*b), score=float(s), feature=f, mask=m, source_weights=w)
+        for b, s, f, m, w in zip(box_vals, score_vals[:, 0], feat_vals, masks, W)
+    ]
 
 
 def dnms(

@@ -73,7 +73,7 @@ class ProposalSet:
 
     def boxes(self) -> np.ndarray:
         """All boxes stacked as an (M, 4) array."""
-        return np.array([p.box.as_array() for p in self.proposals], dtype=np.float64)
+        return np.array([(p.box.x1, p.box.y1, p.box.x2, p.box.y2) for p in self.proposals], float)
 
     def scores(self) -> np.ndarray:
         return np.array([p.score for p in self.proposals], dtype=np.float64)

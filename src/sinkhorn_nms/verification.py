@@ -122,9 +122,8 @@ def _gradcheck(
     marg)`` may draw further inputs and returns the derivative under test
     together with the scalar loss of C that it differentiates.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     threshold = fd_threshold(tau) if threshold is None else threshold
+    _check_harness_args(trials, fd_step, threshold)
     rng = SplitMix64(seed)
     params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
     results = []
@@ -197,6 +196,15 @@ def gradcheck_matching(
     return _gradcheck("matching", case, m_max, k_max, tau, iters, trials, seed, fd_step, threshold)
 
 
+def _check_harness_args(trials: int, fd_step: float, threshold: float) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError(f"fd_step must be finite and > 0, got {fd_step}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def _step_note(fd_step: float) -> str | None:
     if fd_step >= ABSURD_FD_STEP:
         return (
@@ -228,16 +236,16 @@ def jacobian_formula_check(
     m_max: int = 4,
     k_max: int = 3,
     tau: float = 1.0,
+    iters: int = 10,
     seed: int = 0,
     fd_step: float = DEFAULT_FD_STEP,
     threshold: float = 1e-6,
 ) -> JacobianCheckReport:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_harness_args(trials, fd_step, threshold)
     rng = SplitMix64(seed)
     softmax_err = 0.0
     sink_gap = 0.0
-    params = SinkhornParams(tau=tau, iters=10, tol=_NO_EARLY_STOP_TOL)
+    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
     for _ in range(trials):
         m, k = _sizes(rng, m_max, k_max)
         C = random_matrix(rng, m, k)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sinkhorn_nms import cli
+from sinkhorn_nms import cli, verification
 from sinkhorn_nms.cli import main
 
 
@@ -187,6 +187,36 @@ class TestGradcheck:
 
     def test_zero_trials_usage_error(self, tmp_path):
         assert run_cli("gradcheck", "--trials", 0) == 2
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--fd-step", "0", "fd_step"),
+        ("--fd-step", "nan", "fd_step"),
+        ("--threshold", "nan", "threshold"),
+        ("--threshold", "inf", "threshold"),
+    ])
+    def test_bad_step_or_threshold_usage_error_before_checks(
+        self, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        def trial_must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran with an invalid argument")
+
+        monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
+        monkeypatch.setattr(verification, "central_difference", trial_must_not_run)
+        report_path = tmp_path / "grad.json"
+        code = run_cli("gradcheck", "--trials", 2, flag, value, "--output", report_path)
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_jacobian_section_follows_fd_step(self, tmp_path):
+        reports = []
+        for extra in ((), ("--fd-step", 10.0)):
+            report_path = tmp_path / "grad.json"
+            run_cli("gradcheck", "--trials", 3, *extra, "--output", report_path)
+            reports.append(json.loads(report_path.read_text())["jacobian_formula"])
+        default, large_step = reports
+        assert large_step["softmax_max_error"] != default["softmax_max_error"]
+        assert large_step["passed"] is False
 
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
