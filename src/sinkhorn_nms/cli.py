@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import formats
 from .cost import CostWeights
+from .losses import LossWeights
 from .pipeline import AdaptiveKParams, PipelineConfig, compare, dnms
 from .proposals import SynthConfig, synth_generate, validate
 from .refine import RefineParams
@@ -235,6 +236,9 @@ def _gradcheck_section(check: GradCheckReport) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
+    # Only the matching check takes --lambda-kl, and it runs second: reject a
+    # bad value before the unrolled check spends its trials.
+    LossWeights(lambda_kl=args.lambda_kl)
     # All three checks run at the same sizes, temperature, iterations and step.
     shared = dict(m_max=args.m, k_max=args.k, tau=args.tau, iters=args.iters, fd_step=args.fd_step)
     common = dict(shared, trials=args.trials, threshold=args.threshold)

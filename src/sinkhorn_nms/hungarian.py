@@ -5,7 +5,11 @@ min(M, K), with a deterministic tie-break: among all optimal matchings it
 returns the lexicographically smallest pair list.  The underlying linear
 assignment subproblems are solved with scipy; the tie-break is enforced by
 re-solving with pairs forced in lexicographic order, so optimality is never
-sacrificed for determinism.
+sacrificed for determinism.  Committed rows only ever shrink the free rows
+to a suffix, so every forced sub-problem is a row-suffix slice of the cost
+matrix with one more column taken out.  A forced pair counts as optimal when
+it is within the rounding error of an n-term sum of the optimum, so it can
+neither reject a true optimum nor admit a pair that is measurably worse.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from scipy.special import xlogy
 from .cost import CostMatrix, cost_values
 from .sinkhorn import SoftAssignment
 
-# Relative tolerance when testing whether a forced partial matching can still
-# be completed to an optimal one.
-_OPT_TOL = 1e-9
+# Rounding error of an n-term sum, in units of n**2 * eps * max(1, max|C|),
+# allowed when testing whether a forced partial matching can still be
+# completed to an optimal one.
+_OPT_TOL = 4.0 * np.finfo(np.float64).eps
 
 KL_SMOOTHING_EPS = 1e-6
 
@@ -55,37 +60,32 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
     M, K = values.shape
     n = min(M, K)
     optimum = _lap_cost(values)
-    tol = _OPT_TOL * (1.0 + abs(optimum))
+    tol = _OPT_TOL * n * n * max(1.0, float(np.abs(values).max()))
 
     pairs: list[tuple[int, int]] = []
     fixed_cost = 0.0
-    rows = list(range(M))
-    cols = list(range(K))
+    start = 0  # the free rows are always the suffix start..M-1
+    cols = np.arange(K)
     for slot in range(n):
         need = n - slot - 1
-        committed = False
-        for ji, j in enumerate(rows):
-            # Rows skipped here stay unmatched, which is only affordable when
-            # enough rows remain to complete the matching.
-            rows_after = rows[ji + 1 :]
-            if len(rows_after) < need:
-                break
-            for k in cols:
-                cols_after = [c for c in cols if c != k]
-                rest = (
-                    _lap_cost(values[np.ix_(rows_after, cols_after)]) if need else 0.0
-                )
+        # Column indices of the free columns without each one in turn.
+        others = [np.delete(cols, i) for i in range(len(cols))]
+        # Rows skipped here stay unmatched, which is only affordable when
+        # enough rows remain below the candidate to complete the matching.
+        for j in range(start, M - need):
+            for k, cols_after in zip(cols.tolist(), others):
+                rest = _lap_cost(values[j + 1 :, cols_after]) if need else 0.0
                 if fixed_cost + values[j, k] + rest <= optimum + tol:
-                    pairs.append((j, k))
-                    fixed_cost += float(values[j, k])
-                    rows = rows_after
-                    cols = cols_after
-                    committed = True
                     break
-            if committed:
-                break
-        if not committed:  # pragma: no cover - optimum always admits completion
+            else:
+                continue
+            break
+        else:  # pragma: no cover - optimum always admits completion
             raise RuntimeError("failed to reconstruct an optimal matching")
+        pairs.append((j, k))
+        fixed_cost += float(values[j, k])
+        start = j + 1
+        cols = cols_after
 
     indicator = np.zeros((M, K), dtype=np.float64)
     for j, k in pairs:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .hungarian import hungarian_solve
-from .losses import grad_matching_wrt_cost, matching_loss
+from .losses import LossWeights, grad_matching_wrt_cost, matching_loss
 from .refine import RefineParams, _softmax_scaled, entropy, frank_wolfe, lmo_entropy
 from .rng import SplitMix64
 from .sinkhorn import (
@@ -101,7 +101,7 @@ def normalized_error(grad: np.ndarray, fd: np.ndarray) -> float:
 
 
 def _sizes(rng: SplitMix64, m_max: int, k_max: int) -> tuple[int, int]:
-    return 2 + rng.randint(max(1, m_max - 1)), 2 + rng.randint(max(1, k_max - 1))
+    return 2 + rng.randint(m_max - 1), 2 + rng.randint(k_max - 1)
 
 
 def _gradcheck(
@@ -124,6 +124,7 @@ def _gradcheck(
     """
     threshold = fd_threshold(tau) if threshold is None else threshold
     _check_harness_args(trials, fd_step, threshold)
+    _check_sizes(m_max=m_max, k_max=k_max)
     rng = SplitMix64(seed)
     params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
     results = []
@@ -185,6 +186,7 @@ def gradcheck_matching(
     The discrete matching is frozen at the base point, matching the
     derivative's piecewise-constant treatment of it.
     """
+    LossWeights(lambda_kl=lambda_kl)  # finite and >= 0, or ValueError
 
     def case(rng, C, params, marg):
         Pstar = hungarian_solve(C)
@@ -203,6 +205,13 @@ def _check_harness_args(trials: int, fd_step: float, threshold: float) -> None:
         raise ValueError(f"fd_step must be finite and > 0, got {fd_step}")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
+
+
+def _check_sizes(**sizes: int) -> None:
+    # Instances are at least 2 x 2; a smaller bound cannot be honoured.
+    for name, size in sizes.items():
+        if size < 2:
+            raise ValueError(f"{name} must be >= 2, got {size}")
 
 
 def _step_note(fd_step: float) -> str | None:
@@ -242,6 +251,7 @@ def jacobian_formula_check(
     threshold: float = 1e-6,
 ) -> JacobianCheckReport:
     _check_harness_args(trials, fd_step, threshold)
+    _check_sizes(m_max=m_max, k_max=k_max)
     rng = SplitMix64(seed)
     softmax_err = 0.0
     sink_gap = 0.0
@@ -312,6 +322,7 @@ def contraction_sweep(
     """Hilbert-ratio contraction check over a grid of temperatures."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_sizes(m_max=m_max, k_max=k_max)
     rng = SplitMix64(seed)
     rows = []
     for tau in taus:
@@ -348,6 +359,7 @@ def frank_wolfe_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_sizes(k_max=k_max)
     rng = SplitMix64(seed)
     rows = []
     for t in range(trials):

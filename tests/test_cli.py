@@ -10,6 +10,10 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
+def trial_must_not_run(*args, **kwargs):
+    raise AssertionError("a check ran with an invalid argument")
+
+
 @pytest.fixture
 def scene(tmp_path):
     out = tmp_path / "scene.jsonl"
@@ -197,15 +201,29 @@ class TestGradcheck:
     def test_bad_step_or_threshold_usage_error_before_checks(
         self, tmp_path, capsys, monkeypatch, flag, value, field
     ):
-        def trial_must_not_run(*args, **kwargs):
-            raise AssertionError("a check ran with an invalid argument")
-
         monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
         monkeypatch.setattr(verification, "central_difference", trial_must_not_run)
         report_path = tmp_path / "grad.json"
         code = run_cli("gradcheck", "--trials", 2, flag, value, "--output", report_path)
         assert code == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (("--lambda-kl", "nan"), "lambda_kl must be finite"),
+        (("--lambda-kl", "-1"), "lambda_kl must be finite"),
+        (("--m", "0", "--k", "-3"), "m_max must be >= 2"),
+        (("--k", "1"), "k_max must be >= 2"),
+    ])
+    def test_bad_lambda_kl_or_size_usage_error_before_checks(
+        self, tmp_path, capsys, monkeypatch, flags, field
+    ):
+        monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
+        monkeypatch.setattr(verification, "central_difference", trial_must_not_run)
+        report_path = tmp_path / "grad.json"
+        code = run_cli("gradcheck", "--trials", 2, *flags, "--output", report_path)
+        assert code == 2
+        assert field in capsys.readouterr().err
         assert not report_path.exists()
 
     def test_jacobian_section_follows_fd_step(self, tmp_path):
@@ -238,6 +256,20 @@ class TestConvergence:
 
     def test_zero_trials_usage_error(self):
         assert run_cli("convergence", "--trials", 0) == 2
+
+    @pytest.mark.parametrize("flags, field", [
+        (("--m-max", "0", "--k-max", "0"), "m_max must be >= 2"),
+        (("--k-max", "1"), "k_max must be >= 2"),
+    ])
+    def test_size_below_two_usage_error_before_checks(
+        self, tmp_path, capsys, monkeypatch, flags, field
+    ):
+        monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
+        report_path = tmp_path / "conv.json"
+        code = run_cli("convergence", "--trials", 2, *flags, "--output", report_path)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_forced_linear_tiny_tau_numerical_error(self, tmp_path, capsys):
         code = run_cli("convergence", "--taus", "0.001", "--trials", 1,

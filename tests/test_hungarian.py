@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sinkhorn_nms import Marginals, SinkhornParams, hungarian_solve, kl_divergence, solve
+from sinkhorn_nms.hungarian import _OPT_TOL
 
 
 def bruteforce_cost(values: np.ndarray) -> float:
@@ -20,6 +21,23 @@ def bruteforce_cost(values: np.ndarray) -> float:
     return min(
         sum(values[rows[j], j] for j in range(K))
         for rows in itertools.permutations(range(M), K)
+    )
+
+
+@st.composite
+def large_tied_costs(draw):
+    """Entries from a few values near one base of magnitude up to 1e6.
+
+    Most optima tie exactly; the rest differ by as little as 1e-3.
+    """
+    base = draw(st.floats(-1e6, 1e6))
+    offsets = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 3.0]), min_size=1, max_size=4))
+    return draw(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=st.sampled_from([base + d for d in offsets]),
+        )
     )
 
 
@@ -84,9 +102,22 @@ class TestHungarianSolve:
             elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
         )
     )
+    # Committing (0, 0) then (1, 1) costs 1e-8 more than the optimum -9.
+    @example(np.array([[-9.0, 1e-8, 1e-8], [1e-8, 1e-8, 0.0]]))
     def test_property_matches_bruteforce(self, values):
         assert hungarian_solve(values).total_cost == pytest.approx(
             bruteforce_cost(values), abs=1e-9
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_tied_costs())
+    # (0, 0) costs 1e-3 more than the optimum: within a relative 1e-9 of 2e6.
+    @example(np.array([[1e6 + 1e-3, 1e6], [1e6, 1e6]]))
+    def test_property_large_magnitudes_with_exact_ties(self, values):
+        n = min(values.shape)
+        rounding = _OPT_TOL * n * n * max(1.0, float(np.abs(values).max()))
+        assert hungarian_solve(values).total_cost == pytest.approx(
+            bruteforce_cost(values), rel=0, abs=2 * rounding
         )
 
     def test_row_shift_invariance(self):

@@ -4,7 +4,8 @@ NaN passes every ordering check (``nan < 0`` and ``nan <= 0`` are both
 false), so without an explicit finiteness check a NaN entropy threshold or
 tolerance would run the pipeline and return silently wrong results.  The
 gradient-check harnesses likewise reject a finite-difference step that is
-not finite and positive, and a non-finite pass threshold, before any trial.
+not finite and positive, a non-finite pass threshold, a KL weight that is not
+finite and nonnegative, and a size bound below 2, before any trial.
 """
 
 import math
@@ -64,3 +65,42 @@ def test_gradient_check_rejects_bad_step_or_threshold(check, kwargs, name, monke
     monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         check(trials=1, **kwargs)
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    def trial_must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran with an invalid argument")
+
+    monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
+    monkeypatch.setattr(verification.SplitMix64, "randint", trial_must_not_run)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_matching_check_rejects_bad_lambda_kl(value, no_trials):
+    with pytest.raises(ValueError, match=r"^lambda_kl must be finite"):
+        verification.gradcheck_matching(trials=1, lambda_kl=value)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"m_max": 1}, "m_max"),
+    ({"m_max": 0}, "m_max"),
+    ({"k_max": 1}, "k_max"),
+    ({"k_max": -3}, "k_max"),
+])
+@pytest.mark.parametrize("check", [
+    verification.gradcheck_unrolled,
+    verification.gradcheck_matching,
+    verification.jacobian_formula_check,
+    verification.contraction_sweep,
+    verification.convergence_sweep,
+])
+def test_harness_rejects_sizes_below_two(check, kwargs, name, no_trials):
+    # Instances are at least 2 x 2, so a smaller bound used to be clamped.
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 2"):
+        check(trials=1, **kwargs)
+
+
+def test_frank_wolfe_sweep_rejects_k_max_below_two(no_trials):
+    with pytest.raises(ValueError, match=r"^k_max must be >= 2"):
+        verification.frank_wolfe_sweep(trials=1, k_max=1)
