@@ -11,7 +11,7 @@ harnesses that empirically check the solver's convergence guarantees.
 from .baselines import greedy_nms, soft_nms
 from .clustering import Centroids, KMeansResult, estimate_k, init_centroids, kmeans
 from .cost import CostMatrix, CostWeights, build_cost, feature_distance, kappa, spatial_distance
-from .geometry import Box, Mask, iou, iou_matrix, quality_score, total_variation
+from .geometry import Box, Mask, iou, iou_matrix, quality_score, quality_scores, total_variation
 from .hungarian import Assignment, hungarian_solve, kl_divergence
 from .losses import (
     LossReport,
@@ -37,6 +37,7 @@ from .pipeline import (
 from .proposals import (
     GroundTruth,
     Proposal,
+    ProposalArrays,
     ProposalSet,
     SynthConfig,
     synth_generate,
@@ -91,6 +92,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineDiagnostics",
     "Proposal",
+    "ProposalArrays",
     "ProposalSet",
     "RefineParams",
     "RefinedProposal",
@@ -130,6 +132,7 @@ __all__ = [
     "matching_loss",
     "quality_labels",
     "quality_score",
+    "quality_scores",
     "soft_nms",
     "solve",
     "spatial_distance",

@@ -8,16 +8,14 @@ remaining candidates, and no M x M overlap matrix is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .geometry import iou_matrix
 from .proposals import ProposalSet
 
 
-def _processing_order(pset: ProposalSet) -> list[int]:
-    return sorted(range(len(pset)), key=lambda i: (-pset.proposals[i].score, pset.proposals[i].id))
+def _processing_order(pset: ProposalSet) -> np.ndarray:
+    return np.lexsort((pset.arrays.ids, -pset.scores()))
 
 
 def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
@@ -40,8 +38,7 @@ def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
         # only kept boxes suppress; a box never outlives its own row update
         # because it is marked kept first
         suppressed |= iou_matrix(boxes[i : i + 1], boxes)[0] > iou_thresh
-    survivors = tuple(p for p, k in zip(pset, kept) if k)
-    return replace(pset, proposals=survivors)
+    return pset.take(np.flatnonzero(kept))
 
 
 def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet:
@@ -57,8 +54,8 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
     if len(pset) == 0:
         return pset
     boxes = pset.boxes()
-    scores = pset.scores()
-    order = np.array(_processing_order(pset))
+    scores = pset.scores().copy()
+    order = _processing_order(pset)
     # a proposal leaves ``alive`` only before its visit, so it ends as the kept set
     alive = np.ones(len(pset), dtype=bool)
     for pos, i in enumerate(order):
@@ -69,5 +66,4 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
         row = iou_matrix(boxes[i : i + 1], boxes[later])[0]
         scores[later] *= np.exp(-(row**2) / sigma)
         alive[later] = ~(scores[later] < score_floor)
-    survivors = tuple(replace(p, score=float(s)) for p, s, k in zip(pset, scores, alive) if k)
-    return replace(pset, proposals=survivors)
+    return pset.take(np.flatnonzero(alive), scores[alive])

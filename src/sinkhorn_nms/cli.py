@@ -18,8 +18,10 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import formats
 from .cost import CostWeights
@@ -258,6 +260,11 @@ def _cmd_gradcheck(args) -> int:
         },
         "fd_step": args.fd_step,
         "tau": args.tau,
+        "m": args.m,
+        "k": args.k,
+        "iters": args.iters,
+        "seed": args.seed,
+        "lambda_kl": args.lambda_kl,
         "note": unrolled.note,
     }
     _emit(report, args.output)
@@ -319,7 +326,7 @@ def _cmd_bench(args) -> int:
     )
     pset, gt = synth_generate(cfg)
     if len(pset) > args.m:
-        pset = replace(pset, proposals=pset.proposals[: args.m])
+        pset = pset.take(np.arange(args.m))
     pipe_cfg = PipelineConfig(
         sinkhorn=SinkhornParams(tau=args.tau, iters=args.iters),
         k=min(args.k, len(pset)),

@@ -7,12 +7,13 @@ centers are normalized by the image diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .baselines import greedy_nms
+from .geometry import box_centers
 from .proposals import ProposalSet
 from .rng import SplitMix64
 
@@ -129,7 +130,7 @@ def kmeans(
 def init_centroids(pset: ProposalSet, K: int, seed: int) -> Centroids:
     """Cluster proposals on [center / diag ; feature] and split the result."""
     diag = pset.image_diag
-    centers = np.array([p.box.center for p in pset], dtype=np.float64) / diag
+    centers = box_centers(pset.boxes()) / diag
     joint = np.hstack([centers, pset.features()])
     result = kmeans(joint, K, seed)
     nu = result.centroids[:, :2] * diag
@@ -154,9 +155,9 @@ def estimate_k(
         raise ValueError("no proposals")
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError("iou_thresh must lie strictly between 0 and 1")
-    eligible = tuple(p for p in pset if p.score >= score_floor)
-    if eligible:
-        survivors = len(greedy_nms(replace(pset, proposals=eligible), iou_thresh))
+    eligible = np.flatnonzero(pset.scores() >= score_floor)
+    if eligible.size:
+        survivors = len(greedy_nms(pset.take(eligible), iou_thresh))
     else:
         survivors = 0
     return max(1, min(survivors, min(len(pset), k_max)))

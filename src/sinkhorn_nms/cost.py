@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Centroids
-from .geometry import Box
+from .geometry import Box, box_centers
 from .proposals import ProposalSet
 
 logger = logging.getLogger(__name__)
@@ -105,7 +105,7 @@ def build_cost(pset: ProposalSet, cents: Centroids, w: CostWeights) -> CostMatri
             f"centroids {cents.feature_centroids.shape[1]}"
         )
     scores = pset.scores()
-    centers = np.array([p.box.center for p in pset], dtype=np.float64)
+    centers = box_centers(pset.boxes())
 
     nf = np.linalg.norm(feats, axis=1)
     nmu = np.linalg.norm(cents.feature_centroids, axis=1)

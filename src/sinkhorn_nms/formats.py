@@ -3,13 +3,18 @@
 Proposal and ground-truth files are JSON Lines: a header object on the first
 line followed by one record per line.  Numbers are serialized with Python's
 shortest round-trip float encoding, so write-then-read reproduces every value
-bit for bit.  Reports are single canonical JSON documents (sorted keys, fixed
-separators, trailing newline), which makes equal runs byte-identical.
+bit for bit.  A proposal file is read straight into the arrays of a
+``ProposalSet`` (no object per record), so its features must stack: a record
+whose feature shape differs from the earlier records' is a parse error naming
+its line, as is an id outside int64.  Reports are single canonical JSON
+documents (sorted keys, fixed separators, trailing newline), which makes
+equal runs byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
@@ -18,12 +23,14 @@ import numpy as np
 
 from .geometry import Box, Mask
 from .pipeline import PipelineConfig, PipelineDiagnostics, RefinedProposal
-from .proposals import GroundTruth, Proposal, ProposalSet
+from .proposals import GroundTruth, ProposalArrays, ProposalSet
 
 FORMAT_VERSION = 1
 PROPOSALS_FORMAT = "proposals"
 GROUND_TRUTH_FORMAT = "ground-truth"
 RUN_REPORT_FORMAT = "run-report"
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class ProposalFileError(ValueError):
@@ -95,34 +102,66 @@ def _read_header(path: str | Path, fmt: str) -> tuple[dict, list[str]]:
 
 
 def read_proposal_file(path: str | Path) -> ProposalSet:
+    """Parse a proposal file straight into the arrays of a ``ProposalSet``.
+
+    No ``Proposal`` or ``Box`` is built per record.  Each record is converted
+    in the order box, mask, id, score, feature, and the first failure raises
+    ``ProposalFileError`` naming its line, as does an id outside int64 and a
+    feature whose shape differs from the earlier records' (ragged features
+    cannot be stacked).  Value checks that do not stop stacking (scores,
+    box extents, a uniform ``feature_dim`` mismatch) are left to
+    :func:`~sinkhorn_nms.proposals.validate`.
+    """
     header, lines = _read_header(path, PROPOSALS_FORMAT)
     try:
         image_width = float(header["image_width"])
         image_height = float(header["image_height"])
         feature_dim = int(header["feature_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProposalFileError(1, f"malformed header: {exc}") from exc
-    proposals = []
+    ids, scores, boxes, features, masks = [], [], [], [], []
+    shape = None
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         rec = _parse_line(line, line_no)
         try:
-            box = Box(*(float(v) for v in rec["box"]))
+            box = [float(v) for v in rec["box"]]
+            # finite and ordered corners; Box words the error otherwise
+            if len(box) != 4 or not (
+                -math.inf < box[0] <= box[2] < math.inf
+                and -math.inf < box[1] <= box[3] < math.inf
+            ):
+                Box(*box)
             mask = _mask_from_record(rec["mask"]) if "mask" in rec else None
-            proposals.append(
-                Proposal(
-                    id=int(rec["id"]),
-                    score=float(rec["score"]),
-                    box=box,
-                    feature=np.array(rec["feature"], dtype=np.float64),
-                    mask=mask,
+            ident = int(rec["id"])
+            if not _INT64_MIN <= ident <= _INT64_MAX:
+                raise ValueError(f"id {ident} does not fit in int64")
+            score = float(rec["score"])
+            feature = np.array(rec["feature"], dtype=np.float64)
+            if shape is None:
+                shape = feature.shape
+            elif feature.shape != shape:
+                raise ValueError(
+                    f"feature shape {feature.shape} differs from {shape} of the "
+                    "earlier records; ragged features cannot be stacked"
                 )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProposalFileError(line_no, f"malformed proposal record: {exc}") from exc
+        boxes.append(box)
+        masks.append(mask)
+        ids.append(ident)
+        scores.append(score)
+        features.append(feature)
+    arrays = ProposalArrays(
+        ids=np.array(ids, dtype=np.int64),
+        scores=np.array(scores, dtype=np.float64),
+        boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        features=np.array(features, dtype=np.float64) if features else np.empty((0, 0)),
+        masks=tuple(masks) if any(m is not None for m in masks) else None,
+    )
     return ProposalSet(
-        proposals=tuple(proposals),
+        proposals=arrays,
         image_width=image_width,
         image_height=image_height,
         feature_dim=feature_dim,

@@ -90,11 +90,29 @@ def iou(a: Box, b: Box) -> float:
     return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
 
 
+def box_array(boxes: Sequence[Box]) -> np.ndarray:
+    """The boxes stacked as a corner-encoded (n, 4) array."""
+    return np.array([b.as_array() for b in boxes]).reshape(-1, 4)
+
+
+def box_centers(boxes: np.ndarray) -> np.ndarray:
+    """(n, 2) centers of corner-encoded (n, 4) boxes, as ``Box.center`` computes them."""
+    return 0.5 * (boxes[:, :2] + boxes[:, 2:])
+
+
+def quality_scores(boxes: np.ndarray, gts: Sequence[Box]) -> np.ndarray:
+    """Maximum IoU of each of the (n, 4) ``boxes`` with any ground-truth box.
+
+    One (n, G) IoU matrix; every entry is 0.0 when no ground truth exists.
+    """
+    if not gts:
+        return np.zeros(len(boxes))
+    return iou_matrix(boxes, box_array(gts)).max(axis=1)
+
+
 def quality_score(p: Box, gts: Sequence[Box]) -> float:
     """Maximum IoU between ``p`` and any ground-truth box; 0.0 when none exist."""
-    if not gts:
-        return 0.0
-    return float(iou_matrix(p.as_array()[None], np.array([g.as_array() for g in gts])).max())
+    return float(quality_scores(p.as_array()[None], gts)[0])
 
 
 def total_variation(m: Mask) -> float:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, Mask, quality_score, total_variation
+from .geometry import Box, Mask, box_array, quality_scores, total_variation
 from .hungarian import KL_SMOOTHING_EPS, Assignment, kl_divergence
 from .sinkhorn import Marginals, SinkhornParams, SoftAssignment, grad_unrolled, solve
 from .cost import CostMatrix, cost_values
@@ -154,6 +154,4 @@ def quality_labels(
     boxes: Sequence[Box], gts: Sequence[Box], thresh: float = 0.5
 ) -> np.ndarray:
     """Binary supervision targets: 1 where the best ground-truth IoU reaches ``thresh``."""
-    return np.array(
-        [1 if quality_score(b, gts) >= thresh else 0 for b in boxes], dtype=np.int64
-    )
+    return (quality_scores(box_array(boxes), gts) >= thresh).astype(np.int64)

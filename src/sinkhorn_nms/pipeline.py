@@ -26,7 +26,7 @@ from .clustering import (
     init_centroids,
 )
 from .cost import CostWeights, build_cost, kappa
-from .geometry import Box, Mask, quality_score
+from .geometry import Box, Mask, box_array, quality_scores
 from .proposals import GroundTruth, ProposalSet
 from .refine import RefineParams, frank_wolfe
 from .sinkhorn import (
@@ -118,8 +118,9 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     boxes = pset.boxes()
     scores = pset.scores()[:, None]
     feats = pset.features()
-    carriers = [i for i, p in enumerate(pset) if p.mask is not None]
-    grids = [pset.proposals[i].mask.values for i in carriers]
+    mask_list = pset.arrays.masks or ()
+    carriers = [i for i, m in enumerate(mask_list) if m is not None]
+    grids = [mask_list[i].values for i in carriers]
     if len({g.shape for g in grids}) > 1:
         raise ValueError("masks must share a common grid to be aggregated")
     # Contiguous rows make each total sum in the same order as the column alone.
@@ -182,7 +183,7 @@ def dnms(
     S = solve(C, cfg.sinkhorn, marg)
     refined = aggregate(S, pset)
     if gt is not None:
-        q = np.array([quality_score(r.box, gt.boxes) for r in refined])
+        q = quality_scores(box_array([r.box for r in refined]), gt.boxes)
     else:
         q = np.array([r.score for r in refined])
     fw_params = replace(cfg.refine, tau_H=min(cfg.refine.tau_H, math.log(K)))
@@ -220,8 +221,12 @@ def compare(
         start = time.perf_counter()
         kept = method()
         elapsed = time.perf_counter() - start
+        if isinstance(kept, ProposalSet):
+            boxes = kept.boxes()
+        else:
+            boxes = box_array([r.box for r in kept])
         out[name] = MethodMetrics(
-            mean_quality=float(np.mean([quality_score(p.box, gt.boxes) for p in kept])),
+            mean_quality=float(np.mean(quality_scores(boxes, gt.boxes))),
             count=len(kept),
             wall_clock_s=elapsed,
         )

@@ -1,5 +1,13 @@
 """Proposal containers and a deterministic synthetic scene generator.
 
+A ``ProposalSet`` stores its proposals as arrays (``ProposalArrays``): ids,
+scores, boxes, features and an optional mask tuple, all read-only, which the
+pipeline reads directly.  ``Proposal`` objects remain the per-item API: a set
+built from objects hands back those objects, and a set built from arrays (by
+the file reader and ``synth_generate``) makes a view per proposal on access.
+Features of differing shapes cannot be stacked and are rejected on
+construction.
+
 ``synth_generate`` builds desk-scale scenes with known structure: ground-truth
 regions at seeded pseudo-random positions, proposals jittered around them,
 scores tied to overlap with the source region, and per-region feature
@@ -10,8 +18,11 @@ prototypes that are guaranteed to be separable.  Identical configurations
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from typing import Iterator
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -45,24 +56,158 @@ class Proposal:
         object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as ``dtype``; the caller's array stays writable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class ProposalArrays(Sequence):
+    """Column storage of M proposals, and the sequence of their views.
+
+    ``ids`` is (M,) int64, ``scores`` (M,), ``boxes`` (M, 4) corner-encoded,
+    ``features`` (M, F), all float64 and read-only.  ``masks`` holds one
+    ``Mask`` or ``None`` per proposal, or is ``None`` when no proposal has a
+    mask.  Indexing builds a ``Proposal`` view with Python ``int``/``float``
+    scalars and a read-only feature row, on access only.
+
+    Views are not cached: ``_views`` maps a row of the storage they were
+    built from to its view by weak reference only, so a view lives exactly as
+    long as its caller holds it.  While it does, the same row read through
+    this storage or a ``take`` of it (``_rows`` maps rows back) is that same
+    object, as with a set of objects.
+    """
+
+    ids: np.ndarray
+    scores: np.ndarray
+    boxes: np.ndarray
+    features: np.ndarray
+    masks: tuple[Mask | None, ...] | None = None
+    _views: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
+    _rows: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name, dtype in (("ids", np.int64), ("scores", np.float64),
+                            ("boxes", np.float64), ("features", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        M = self.ids.shape[0]
+        if self.ids.ndim != 1 or self.scores.shape != (M,) or self.boxes.shape != (M, 4):
+            raise ValueError("ids, scores and boxes must be (M,), (M,) and (M, 4) arrays")
+        if self.features.ndim < 1 or self.features.shape[0] != M:
+            raise ValueError("features must hold one row per proposal")
+        if self.masks is not None:
+            object.__setattr__(self, "masks", tuple(self.masks))
+            if len(self.masks) != M:
+                raise ValueError("masks must hold one entry per proposal")
+
+    @classmethod
+    def from_proposals(cls, proposals: Sequence[Proposal]) -> "ProposalArrays":
+        """Stack proposal objects.
+
+        Features of differing shapes cannot be stacked, and ids must be
+        integers that fit in int64; anything else raises.
+        """
+        shape = proposals[0].feature.shape if proposals else (0,)
+        for i, p in enumerate(proposals):
+            if p.feature.shape != shape:
+                raise ValueError(
+                    f"proposal {i}: feature shape {p.feature.shape} differs from "
+                    f"{shape} of the earlier proposals; ragged features cannot be stacked"
+                )
+        masks = tuple(p.mask for p in proposals)
+        return cls(
+            # an id that is not an integer would be truncated, one outside int64 wrapped
+            ids=np.array([operator.index(p.id) for p in proposals], dtype=np.int64),
+            scores=np.array([p.score for p in proposals], dtype=np.float64),
+            boxes=np.array(
+                [(p.box.x1, p.box.y1, p.box.x2, p.box.y2) for p in proposals], np.float64
+            ).reshape(-1, 4),
+            features=np.array([p.feature for p in proposals], np.float64).reshape(
+                (len(proposals), *shape)
+            ),
+            masks=masks if any(m is not None for m in masks) else None,
+        )
+
+    def __reduce__(self):
+        # the weak view map cannot be pickled, and a copy starts without views
+        return (ProposalArrays, (self.ids, self.scores, self.boxes, self.features, self.masks))
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        key = i if self._rows is None else int(self._rows[i])
+        view = self._views.get(key)
+        if view is None:
+            view = Proposal(
+                id=int(self.ids[i]),
+                score=float(self.scores[i]),
+                box=Box(*self.boxes[i].tolist()),
+                feature=self.features[i],
+                mask=None if self.masks is None else self.masks[i],
+            )
+            self._views[key] = view
+        return view
+
+    def __iter__(self) -> Iterator[Proposal]:
+        return map(self.__getitem__, range(len(self)))
+
+    def take(self, index: np.ndarray, scores: np.ndarray | None = None) -> "ProposalArrays":
+        """Rows ``index`` in that order, with ``scores`` in place of theirs if given."""
+        index = np.asarray(index, dtype=np.intp)
+        masks = None
+        if self.masks is not None and any(self.masks[i] is not None for i in index):
+            masks = tuple(self.masks[i] for i in index)
+        # rows with new scores are new proposals, so they get views of their own
+        shared = {}
+        if scores is None:
+            rows = index if self._rows is None else self._rows[index]
+            shared = dict(_views=self._views, _rows=rows)
+        return ProposalArrays(
+            ids=self.ids[index],
+            scores=self.scores[index] if scores is None else scores,
+            boxes=self.boxes[index],
+            features=self.features[index],
+            masks=masks,
+            **shared,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ProposalSet:
     """Ordered proposals plus the image extent and shared feature dimension.
 
+    ``arrays`` is the one storage the pipeline reads.  A set built from
+    ``Proposal`` objects keeps and hands back those objects; a set built from
+    a ``ProposalArrays`` (as the file reader and ``synth_generate`` build
+    theirs) has that as its ``proposals`` and makes views on access.
+
     Construction is lenient so that malformed sets can be inspected; use
-    :func:`validate` to obtain the list of invariant violations.
+    :func:`validate` to obtain the list of invariant violations.  Only
+    features of differing shapes are rejected, because they cannot be
+    stacked.
     """
 
-    proposals: tuple[Proposal, ...]
+    proposals: Sequence[Proposal]
     image_width: float
     image_height: float
     feature_dim: int
+    arrays: ProposalArrays = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "proposals", tuple(self.proposals))
+        arrays = self.proposals
+        if not isinstance(arrays, ProposalArrays):
+            object.__setattr__(self, "proposals", tuple(self.proposals))
+            arrays = ProposalArrays.from_proposals(self.proposals)
+        object.__setattr__(self, "arrays", arrays)
 
     def __len__(self) -> int:
-        return len(self.proposals)
+        return len(self.arrays)
 
     def __iter__(self) -> Iterator[Proposal]:
         return iter(self.proposals)
@@ -72,14 +217,27 @@ class ProposalSet:
         return math.hypot(self.image_width, self.image_height)
 
     def boxes(self) -> np.ndarray:
-        """All boxes stacked as an (M, 4) array."""
-        return np.array([(p.box.x1, p.box.y1, p.box.x2, p.box.y2) for p in self.proposals], float)
+        """All boxes as a read-only (M, 4) array."""
+        return self.arrays.boxes
 
     def scores(self) -> np.ndarray:
-        return np.array([p.score for p in self.proposals], dtype=np.float64)
+        return self.arrays.scores
 
     def features(self) -> np.ndarray:
-        return np.array([p.feature for p in self.proposals], dtype=np.float64)
+        return self.arrays.features
+
+    def take(self, index: np.ndarray, scores: np.ndarray | None = None) -> "ProposalSet":
+        """The proposals at ``index``, in that order, with ``scores`` if given.
+
+        A set of objects stays one: the same objects, or copies carrying the
+        new scores.
+        """
+        if isinstance(self.proposals, ProposalArrays):
+            return replace(self, proposals=self.proposals.take(index, scores))
+        picked = [self.proposals[i] for i in index]
+        if scores is not None:
+            picked = [replace(p, score=float(s)) for p, s in zip(picked, scores)]
+        return replace(self, proposals=tuple(picked))
 
 
 @dataclass(frozen=True)
@@ -162,33 +320,28 @@ def synth_generate(cfg: SynthConfig) -> tuple[ProposalSet, GroundTruth]:
         gt_boxes.append(Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h))
         prototypes.append(_draw_prototype(rng, cfg.feature_dim, prototypes))
 
-    proposals: list[Proposal] = []
+    n = cfg.proposals_per_region
+    M = cfg.num_regions * n
+    boxes = np.empty((M, 4))
+    scores = np.empty(M)
+    features = np.empty((M, cfg.feature_dim))
     for r, (gt_box, proto) in enumerate(zip(gt_boxes, prototypes)):
-        drawn = []
-        for _ in range(cfg.proposals_per_region):
+        rows = slice(r * n, (r + 1) * n)
+        noises = []
+        for j in range(rows.start, rows.stop):
             dx = rng.uniform(-cfg.jitter, cfg.jitter)
             dy = rng.uniform(-cfg.jitter, cfg.jitter)
-            box = Box(gt_box.x1 + dx, gt_box.y1 + dy, gt_box.x2 + dx, gt_box.y2 + dy)
-            noise = rng.uniform(-cfg.score_noise, cfg.score_noise)
-            feature = proto + FEATURE_NOISE * np.array(
+            boxes[j] = (gt_box.x1 + dx, gt_box.y1 + dy, gt_box.x2 + dx, gt_box.y2 + dy)
+            noises.append(rng.uniform(-cfg.score_noise, cfg.score_noise))
+            features[j] = proto + FEATURE_NOISE * np.array(
                 [rng.uniform(-1.0, 1.0) for _ in range(cfg.feature_dim)]
             )
-            drawn.append((box, noise, feature))
         # scored once per region after the draws, which keeps the RNG order
-        region = np.array([b.as_array() for b, _, _ in drawn])
-        overlaps = iou_matrix(region, gt_box.as_array()[None])[:, 0]
-        for p, ((box, noise, feature), overlap) in enumerate(zip(drawn, overlaps)):
-            proposals.append(
-                Proposal(
-                    id=r * cfg.proposals_per_region + p,
-                    score=min(1.0, max(0.0, float(overlap) + noise)),
-                    box=box,
-                    feature=feature,
-                )
-            )
+        overlaps = iou_matrix(boxes[rows], gt_box.as_array()[None])[:, 0]
+        scores[rows] = [min(1.0, max(0.0, float(o) + e)) for o, e in zip(overlaps, noises)]
 
     pset = ProposalSet(
-        proposals=tuple(proposals),
+        proposals=ProposalArrays(ids=np.arange(M), scores=scores, boxes=boxes, features=features),
         image_width=cfg.image_width,
         image_height=cfg.image_height,
         feature_dim=cfg.feature_dim,
@@ -200,32 +353,46 @@ def synth_generate(cfg: SynthConfig) -> tuple[ProposalSet, GroundTruth]:
 def validate(pset: ProposalSet) -> list[str]:
     """Return human-readable descriptions of every invariant violation.
 
-    An empty list means the set is well-formed.
+    An empty list means the set is well-formed.  The checks run on the
+    arrays; messages come in proposal order, each proposal's in the order
+    duplicate id, score, box, feature.
     """
     violations: list[str] = []
+    W, H = pset.image_width, pset.image_height
+    if not (0.0 < W < math.inf and 0.0 < H < math.inf):
+        violations.append(f"image size {W}x{H} must be finite and positive")
     if len(pset) == 0:
         violations.append("proposal set is empty")
-    seen: dict[int, int] = {}
-    for idx, p in enumerate(pset):
-        if p.id in seen:
-            violations.append(
-                f"duplicate id {p.id} at indices {seen[p.id]} and {idx}"
-            )
-        else:
-            seen[p.id] = idx
-        if not (0.0 <= p.score <= 1.0) or not math.isfinite(p.score):
+        return violations
+    arrays = pset.arrays
+    ids, scores, boxes, feats = arrays.ids, arrays.scores, arrays.boxes, arrays.features
+    _, first_index, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    first_seen = first_index[inverse]
+    rows = np.arange(len(ids))
+    duplicate = first_seen != rows
+    bad_score = ~((scores >= 0.0) & (scores <= 1.0))
+    outside = (boxes[:, 0] < 0) | (boxes[:, 1] < 0) | (boxes[:, 2] > W) | (boxes[:, 3] > H)
+    shape = feats.shape[1:]
+    bad_dim = len(shape) != 1 or shape[0] != pset.feature_dim
+    nonfinite = np.zeros(len(ids), bool) if bad_dim else ~np.isfinite(feats).all(axis=1)
+    flagged = rows if bad_dim else np.flatnonzero(duplicate | bad_score | outside | nonfinite)
+    for i in flagged:
+        p = pset.proposals[i]
+        if duplicate[i]:
+            violations.append(f"duplicate id {p.id} at indices {first_seen[i]} and {i}")
+        if bad_score[i]:
             violations.append(f"proposal id {p.id}: score {p.score} outside [0, 1]")
-        b = p.box
-        if b.x1 < 0 or b.y1 < 0 or b.x2 > pset.image_width or b.y2 > pset.image_height:
+        if outside[i]:
+            b = p.box
             violations.append(
                 f"proposal id {p.id}: box ({b.x1}, {b.y1}, {b.x2}, {b.y2}) "
-                f"outside image {pset.image_width}x{pset.image_height}"
+                f"outside image {W}x{H}"
             )
-        if p.feature.ndim != 1 or p.feature.shape[0] != pset.feature_dim:
+        if bad_dim:
             violations.append(
-                f"proposal id {p.id}: feature dimension {p.feature.shape} "
+                f"proposal id {p.id}: feature dimension {shape} "
                 f"does not match set feature_dim {pset.feature_dim}"
             )
-        elif not np.isfinite(p.feature).all():
+        elif nonfinite[i]:
             violations.append(f"proposal id {p.id}: feature has non-finite entries")
     return violations

@@ -98,6 +98,27 @@ class TestRun:
         assert code == 2
         assert "score" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["NaN", "Infinity", "-Infinity", "0"])
+    def test_bad_image_size_rejected_before_pipeline(
+        self, scene, tmp_path, capsys, monkeypatch, size
+    ):
+        def pipeline_must_not_run(*args, **kwargs):
+            raise AssertionError("pipeline ran on an image of unusable size")
+
+        monkeypatch.setattr(cli, "dnms", pipeline_must_not_run)
+        out, _ = scene
+        lines = out.read_text().splitlines()
+        lines[0] = lines[0].replace('"image_width":640.0', f'"image_width":{size}')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("run", bad, "--k", 3, "--output", tmp_path / "r.json")
+        assert code == 2
+        width = float(size)
+        assert (
+            f"invalid input: image size {width}x640.0 must be finite and positive"
+            in capsys.readouterr().err
+        )
+
     def test_zero_tau_usage_error(self, scene, tmp_path, capsys):
         out, _ = scene
         code = run_cli("run", out, "--tau", 0.0, "--output", tmp_path / "r.json")
@@ -350,8 +371,10 @@ class TestReportSchema:
         report = json.loads(out.read_text())
         assert set(report) == {
             "format", "version", "unrolled", "matching", "jacobian_formula",
-            "fd_step", "tau", "note",
+            "fd_step", "tau", "m", "k", "iters", "seed", "lambda_kl", "note",
         }
+        assert (report["m"], report["k"], report["iters"], report["seed"],
+                report["lambda_kl"]) == (5, 4, 10, 0, 0.5)
         for section in ("unrolled", "matching"):
             assert set(report[section]) == {"max_error", "threshold", "passed", "trials"}
             assert report[section]["trials"] == 2

@@ -245,3 +245,13 @@ class TestNMSAgreement:
             assert type(g.score) is float
             assert abs(g.score - w.score) <= 1e-14 * abs(w.score)
             assert g.box is w.box and g.feature is w.feature
+
+
+class TestQualityScoresAgreement:
+    @given(box_lists(0, 8), box_lists(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_one_matrix_bitwise_per_box(self, boxes, gts):
+        arr = geometry.box_array(boxes)
+        got = geometry.quality_scores(arr, gts)
+        assert got.shape == (len(boxes),)
+        assert [_bits(float(v)) for v in got] == [_bits(quality_score(b, gts)) for b in boxes]

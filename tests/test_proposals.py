@@ -8,6 +8,7 @@ import pytest
 from sinkhorn_nms import (
     Box,
     Proposal,
+    ProposalSet,
     SynthConfig,
     quality_score,
     synth_generate,
@@ -161,3 +162,88 @@ def test_proposal_feature_coerced_to_array():
     p = Proposal(id=0, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0, 2.0])
     assert isinstance(p.feature, np.ndarray)
     assert p.feature.dtype == np.float64
+
+
+class TestArrayStorage:
+    def scene(self):
+        pset, _ = synth_generate(SynthConfig(num_regions=2, proposals_per_region=3, seed=4))
+        return pset
+
+    def test_arrays_are_read_only_and_shaped(self):
+        a = self.scene().arrays
+        assert (a.ids.dtype, a.ids.shape) == (np.int64, (6,))
+        assert a.boxes.shape == (6, 4) and a.features.shape == (6, 8)
+        assert a.masks is None
+        for arr in (a.ids, a.scores, a.boxes, a.features):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_views_carry_python_scalars_and_are_not_kept(self):
+        import gc
+        import weakref
+
+        pset = self.scene()
+        p = pset.proposals[-1]
+        assert type(p.id) is int and type(p.score) is float
+        assert p.id == 5 and p.box.as_array().tobytes() == pset.boxes()[5].tobytes()
+        assert np.shares_memory(p.feature, pset.features())
+        # a live view is the one every read of that row returns
+        assert pset.proposals[5] is p and list(pset)[5] is p
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+    def test_take_keeps_rows_and_their_views(self):
+        pset = self.scene()
+        views = list(pset)
+        kept = pset.take(np.array([4, 1]))
+        assert kept.arrays.ids.tolist() == [4, 1]
+        assert kept.proposals[0] is views[4] and kept.proposals[1] is views[1]
+        rescored = pset.take(np.array([4]), np.array([0.25]))
+        assert rescored.proposals[0].score == 0.25 and rescored.proposals[0] is not views[4]
+        assert pset.scores()[4] != 0.25
+
+    def test_object_built_set_hands_back_its_objects(self):
+        objs = tuple(self.scene())
+        pset = ProposalSet(proposals=objs, image_width=640.0, image_height=640.0, feature_dim=8)
+        assert all(a is b for a, b in zip(pset, objs))
+        assert pset.take(np.array([2])).proposals[0] is objs[2]
+        assert pset.boxes().tobytes() == self.scene().boxes().tobytes()
+
+    def test_ragged_object_features_rejected(self):
+        objs = (
+            Proposal(id=0, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0, 2.0]),
+            Proposal(id=1, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0]),
+        )
+        with pytest.raises(ValueError, match="ragged"):
+            ProposalSet(proposals=objs, image_width=1.0, image_height=1.0, feature_dim=2)
+
+    @pytest.mark.parametrize("ident, error", [(3.7, TypeError), (2**63, OverflowError)])
+    def test_object_ids_must_be_int64(self, ident, error):
+        obj = Proposal(id=ident, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0])
+        with pytest.raises(error):
+            ProposalSet(proposals=(obj,), image_width=1.0, image_height=1.0, feature_dim=1)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        pset = self.scene()
+        again = pickle.loads(pickle.dumps(pset))
+        assert proposal_set_to_lines(again) == proposal_set_to_lines(pset)
+
+    def test_centers_match_box_center(self):
+        from sinkhorn_nms.geometry import box_centers
+
+        pset = self.scene()
+        want = np.array([p.box.center for p in pset])
+        assert box_centers(pset.boxes()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width, height", [
+    (float("nan"), 10.0), (10.0, float("inf")), (0.0, 10.0), (-1.0, 10.0),
+])
+def test_validate_rejects_unusable_image_size(width, height):
+    pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=5))
+    bad = dataclasses.replace(pset, image_width=width, image_height=height)
+    assert validate(bad)[0] == f"image size {width}x{height} must be finite and positive"
