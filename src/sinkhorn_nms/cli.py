@@ -294,11 +294,7 @@ def _cmd_convergence(args) -> int:
         "format": "convergence-report",
         "version": formats.FORMAT_VERSION,
         "contraction": [asdict(r) for r in sweep.contraction],
-        # A row's feasibility is already folded into its "passed".
-        "frank_wolfe": [
-            {key: v for key, v in asdict(r).items() if key != "feasible"}
-            for r in sweep.frank_wolfe
-        ],
+        "frank_wolfe": [asdict(r) for r in sweep.frank_wolfe],
         "passed": sweep.passed,
     }
     _emit(report, args.output)
@@ -375,10 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except formats.ProposalFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ProposalFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -3,12 +3,13 @@
 Proposal and ground-truth files are JSON Lines: a header object on the first
 line followed by one record per line.  Numbers are serialized with Python's
 shortest round-trip float encoding, so write-then-read reproduces every value
-bit for bit.  A proposal file is read straight into the arrays of a
-``ProposalSet`` (no object per record), so its features must stack: a record
-whose feature shape differs from the earlier records' is a parse error naming
-its line, as is an id outside int64.  Reports are single canonical JSON
-documents (sorted keys, fixed separators, trailing newline), which makes
-equal runs byte-identical.
+bit for bit.  A proposal file is written from, and read straight into, the
+arrays of a ``ProposalSet`` (no object per record), so its features must
+stack: a record whose feature shape differs from the earlier records' is a
+parse error naming its line, as is an id outside int64.  An id or label that
+is a JSON number with a fractional part is a parse error too, never
+truncated.  Reports are single canonical JSON documents (sorted keys, fixed
+separators, trailing newline), which makes equal runs byte-identical.
 """
 
 from __future__ import annotations
@@ -71,21 +72,27 @@ def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
         "feature_dim": pset.feature_dim,
     }
     lines = [dumps_canonical(header)]
-    for p in pset:
-        rec: dict[str, Any] = {
-            "id": p.id,
-            "score": p.score,
-            "box": [p.box.x1, p.box.y1, p.box.x2, p.box.y2],
-            "feature": p.feature.tolist(),
-        }
-        if p.mask is not None:
-            rec["mask"] = _mask_to_record(p.mask)
+    a = pset.arrays
+    rows = zip(a.ids.tolist(), a.scores.tolist(), a.boxes.tolist(), a.features.tolist(),
+               a.masks or (None,) * len(a))
+    for ident, score, box, feature, mask in rows:
+        rec: dict[str, Any] = {"id": ident, "score": score, "box": box, "feature": feature}
+        if mask is not None:
+            rec["mask"] = _mask_to_record(mask)
         lines.append(dumps_canonical(rec))
     return lines
 
 
 def write_proposal_file(path: str | Path, pset: ProposalSet) -> None:
     Path(path).write_text("".join(proposal_set_to_lines(pset)))
+
+
+def _whole(value, name: str) -> int:
+    """``int(value)``, except that a number with a fractional part raises."""
+    whole = int(value)
+    if isinstance(value, float) and whole != value:
+        raise ValueError(f"{name} {value!r} is not a whole number")
+    return whole
 
 
 def _read_header(path: str | Path, fmt: str) -> tuple[dict, list[str]]:
@@ -106,11 +113,11 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
 
     No ``Proposal`` or ``Box`` is built per record.  Each record is converted
     in the order box, mask, id, score, feature, and the first failure raises
-    ``ProposalFileError`` naming its line, as does an id outside int64 and a
-    feature whose shape differs from the earlier records' (ragged features
-    cannot be stacked).  Value checks that do not stop stacking (scores,
-    box extents, a uniform ``feature_dim`` mismatch) are left to
-    :func:`~sinkhorn_nms.proposals.validate`.
+    ``ProposalFileError`` naming its line, as does an id with a fractional
+    part or outside int64 and a feature whose shape differs from the earlier
+    records' (ragged features cannot be stacked).  Value checks that do not
+    stop stacking (scores, box extents, a uniform ``feature_dim`` mismatch)
+    are left to :func:`~sinkhorn_nms.proposals.validate`.
     """
     header, lines = _read_header(path, PROPOSALS_FORMAT)
     try:
@@ -134,7 +141,7 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
             ):
                 Box(*box)
             mask = _mask_from_record(rec["mask"]) if "mask" in rec else None
-            ident = int(rec["id"])
+            ident = _whole(rec["id"], "id")
             if not _INT64_MIN <= ident <= _INT64_MAX:
                 raise ValueError(f"id {ident} does not fit in int64")
             score = float(rec["score"])
@@ -198,8 +205,8 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
         rec = _parse_line(line, line_no)
         try:
             boxes.append(Box(*(float(v) for v in rec["box"])))
-            labels.append(int(rec.get("label", 0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            labels.append(_whole(rec.get("label", 0), "label"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProposalFileError(line_no, f"malformed region record: {exc}") from exc
     return GroundTruth(boxes=tuple(boxes), labels=tuple(labels))
 

@@ -63,6 +63,9 @@ _DH_FLOOR = 1e-10
 _REFERENCE_ITERS = 10_000
 _REFERENCE_TOL = 1e-14
 
+# A tolerance below any achievable violation: a run with it never stops early.
+NO_EARLY_STOP_TOL = 1e-300
+
 
 class NumericalError(RuntimeError):
     """Raised when a solve produces non-finite intermediates."""
@@ -305,9 +308,9 @@ def verify_contraction(
     if (Pstar <= 0).any():
         raise NumericalError("reference plan has nonpositive entries; increase tau")
 
-    # Disable early stopping (tol below any achievable violation) so the plan
-    # sequence is governed purely by the distance floor.
-    run, phi, tape = _iterate(values, replace(params, tol=1e-300), marg, keep_tape=True)
+    # Without early stopping the plan sequence is governed purely by the
+    # distance floor.
+    run, phi, tape = _iterate(values, replace(params, tol=NO_EARLY_STOP_TOL), marg, keep_tape=True)
     distances = []
     for _, uh, vh in tape:
         d = hilbert_distance(_plan(phi, uh, vh), Pstar)

@@ -1,12 +1,12 @@
 """Empirical verification harnesses: gradient checks and convergence sweeps.
 
-Both gradient checks (the unrolled solver and the matching loss) run on one
-driver that compares reverse-mode derivatives against central finite
-differences on seeded random instances.  Errors are normalized by the
-largest finite-difference magnitude, so the reported number is
-max|g - g_fd| / max|g_fd|.  Convergence sweeps run the Hilbert-metric
-contraction check across a temperature grid and confirm that the
-entropy-constrained refinement reaches the oracle optimum of its linear
+All three derivative checks (the unrolled solver, the matching loss and the
+closed-form coupling Jacobian) run on one driver that compares derivatives
+against central finite differences on seeded random instances.  Errors are
+normalized by the largest finite-difference magnitude, so the reported
+number is max|g - g_fd| / max|g_fd|.  Convergence sweeps run the
+Hilbert-metric contraction check across a temperature grid and confirm that
+the entropy-constrained refinement reaches the oracle optimum of its linear
 objective within two iterations.
 """
 
@@ -23,6 +23,7 @@ from .losses import LossWeights, grad_matching_wrt_cost, matching_loss
 from .refine import RefineParams, _softmax_scaled, entropy, frank_wolfe, lmo_entropy
 from .rng import SplitMix64
 from .sinkhorn import (
+    NO_EARLY_STOP_TOL,
     Marginals,
     SinkhornParams,
     grad_analytic,
@@ -34,11 +35,6 @@ from .sinkhorn import (
 DEFAULT_FD_STEP = 1e-5
 # Beyond this step the central difference no longer approximates a derivative.
 ABSURD_FD_STEP = 0.1
-
-# Early stopping is disabled during gradient checks: a perturbed input could
-# otherwise change the number of executed iterations and make the loss
-# discontinuous at the finite-difference scale.
-_NO_EARLY_STOP_TOL = 1e-300
 
 
 def fd_threshold(tau: float) -> float:
@@ -116,7 +112,7 @@ def _gradcheck(
     fd_step: float,
     threshold: float | None,
 ) -> GradCheckReport:
-    """Finite-difference check loop shared by both gradient checks.
+    """Finite-difference check loop shared by the three derivative checks.
 
     Each trial draws its sizes and C from ``rng``; ``case(rng, C, params,
     marg)`` may draw further inputs and returns the derivative under test
@@ -126,7 +122,10 @@ def _gradcheck(
     _check_harness_args(trials, fd_step, threshold)
     _check_sizes(m_max=m_max, k_max=k_max)
     rng = SplitMix64(seed)
-    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
+    # Early stopping is disabled: a perturbed input could otherwise change the
+    # number of executed iterations and make the loss discontinuous at the
+    # finite-difference scale.
+    params = SinkhornParams(tau=tau, iters=iters, tol=NO_EARLY_STOP_TOL)
     results = []
     for t in range(trials):
         m, k = _sizes(rng, m_max, k_max)
@@ -250,33 +249,23 @@ def jacobian_formula_check(
     fd_step: float = DEFAULT_FD_STEP,
     threshold: float = 1e-6,
 ) -> JacobianCheckReport:
-    _check_harness_args(trials, fd_step, threshold)
-    _check_sizes(m_max=m_max, k_max=k_max)
-    rng = SplitMix64(seed)
-    softmax_err = 0.0
-    sink_gap = 0.0
-    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
-    for _ in range(trials):
-        m, k = _sizes(rng, m_max, k_max)
-        C = random_matrix(rng, m, k)
-        U = random_matrix(rng, m, k, -1.0, 1.0)
-        S = _softmax_scaled(-C, tau)
-        grad = grad_analytic(S, tau, U)
-        fd = central_difference(
-            lambda X: float((U * _softmax_scaled(-X, tau)).sum()), C, fd_step
-        )
-        softmax_err = max(softmax_err, normalized_error(grad, fd))
+    gaps = []
 
-        marg = Marginals.uniform(m, k)
-        S_full = solve(C, params, marg)
-        g_analytic = grad_analytic(S_full, tau, U)
-        g_unrolled = grad_unrolled(C, params, marg, U)
-        sink_gap = max(sink_gap, normalized_error(g_analytic, g_unrolled))
+    def case(rng, C, params, marg):
+        U = random_matrix(rng, *C.shape, -1.0, 1.0)
+        g_analytic = grad_analytic(solve(C, params, marg), tau, U)
+        gaps.append(normalized_error(g_analytic, grad_unrolled(C, params, marg, U)))
+        return (
+            grad_analytic(_softmax_scaled(-C, tau), tau, U),
+            lambda X: float((U * _softmax_scaled(-X, tau)).sum()),
+        )
+
+    check = _gradcheck("jacobian", case, m_max, k_max, tau, iters, trials, seed, fd_step, threshold)
     return JacobianCheckReport(
-        softmax_max_error=softmax_err,
-        sinkhorn_gap=sink_gap,
+        softmax_max_error=check.max_error,
+        sinkhorn_gap=max(0.0, *gaps),
         trials=trials,
-        passed=softmax_err < threshold,
+        passed=check.passed,
         threshold=threshold,
     )
 
@@ -299,7 +288,6 @@ class FrankWolfeRow:
     tau_H: float
     gap: float
     iterations: int
-    feasible: bool
     passed: bool
 
 
@@ -329,7 +317,7 @@ def contraction_sweep(
         for t in range(trials):
             m, k = _sizes(rng, m_max, k_max)
             C = random_matrix(rng, m, k)
-            params = SinkhornParams(tau=tau, iters=iters, tol=1e-12, log_domain=log_domain)
+            params = SinkhornParams(tau=tau, iters=iters, log_domain=log_domain)
             report = verify_contraction(C, params, Marginals.uniform(m, k))
             rows.append(
                 ContractionRow(
@@ -383,7 +371,6 @@ def frank_wolfe_sweep(
                 tau_H=tau_H,
                 gap=gap,
                 iterations=result.iterations,
-                feasible=feasible,
                 passed=passed,
             )
         )

@@ -86,6 +86,16 @@ class TestRun:
         assert code == 2
         assert "line 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["1e400", "1.5"])
+    def test_unreadable_ground_truth_label_names_line(self, scene, tmp_path, capsys, label):
+        out, _ = scene
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text('{"format": "ground-truth", "version": 1}\n'
+                      f'{{"box": [0, 0, 1, 1], "label": {label}}}\n')
+        code = run_cli("run", out, "--ground-truth", gt, "--output", tmp_path / "r.json")
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_invalid_proposal_values_rejected(self, scene, tmp_path, capsys):
         out, _ = scene
         lines = out.read_text().splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from sinkhorn_nms import (
 from sinkhorn_nms.formats import (
     ProposalFileError,
     dumps_canonical,
+    proposal_set_to_lines,
     read_ground_truth,
     read_proposal_file,
     read_run_report,
@@ -106,6 +108,45 @@ class TestProposalFileRoundTrip:
         assert sets_equal(pset, read_proposal_file(path))
 
 
+# SHA-256 of the proposal lines of these scenes as written by the earlier
+# writer, which went through one Proposal view and Box per row.
+LINES_DIGESTS = [
+    (SynthConfig(num_regions=3, proposals_per_region=4, seed=0),
+     "0b7510c3e2b0004e7fb0dc60b82f3265ce7ec877bdf27a2f0614441f67edb68b"),
+    (SynthConfig(num_regions=8, proposals_per_region=16, jitter=4.0, score_noise=0.05, seed=3),
+     "31943557984ddf3bfdfb151c9609f56ed151692d87e7f115a15259305280c507"),
+    (SynthConfig(num_regions=5, proposals_per_region=7, jitter=2.0, score_noise=0.2,
+                 feature_dim=3, image_width=300.0, image_height=200.0, seed=11),
+     "369b19142d84d7359cd898e305c8268fb43a833aa28928a60f36cb9fd6c0f08e"),
+]
+
+
+class TestProposalFileWriter:
+    @pytest.mark.parametrize("cfg, digest", LINES_DIGESTS)
+    def test_synthetic_lines_match_recorded_digest(self, cfg, digest):
+        pset, _ = synth_generate(cfg)
+        text = "".join(proposal_set_to_lines(pset))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_numpy_integer_id_is_written(self):
+        def one(ident):
+            p = Proposal(id=ident, score=0.5, box=Box(0.0, 0.0, 1.0, 1.0), feature=np.ones(2))
+            return proposal_set_to_lines(
+                ProposalSet(proposals=(p,), image_width=2.0, image_height=2.0, feature_dim=2)
+            )
+
+        assert one(np.int64(7)) == one(7)
+
+    def test_integers_are_written_as_floats(self):
+        mask = Mask(np.array([[0, 1]]))
+        p = Proposal(id=0, score=1, box=Box(0, 0, 1, 1), feature=np.array([1, 2]), mask=mask)
+        pset = ProposalSet(proposals=(p,), image_width=2.0, image_height=2.0, feature_dim=2)
+        assert proposal_set_to_lines(pset)[1] == (
+            '{"box":[0.0,0.0,1.0,1.0],"feature":[1.0,2.0],"id":0,'
+            '"mask":{"height":1,"values":[0.0,1.0],"width":2},"score":1.0}\n'
+        )
+
+
 class TestProposalFileErrors:
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -174,6 +215,23 @@ class TestGroundTruthFile:
         path.write_text(header + "\n" + record + "\n")
         with pytest.raises(ProposalFileError, match="line 1: unsupported version 2"):
             read_ground_truth(path)
+
+    @pytest.mark.parametrize("label, message", [
+        ("1e400", "cannot convert float infinity to integer"),
+        ("1.5", "label 1.5 is not a whole number"),
+    ])
+    def test_unreadable_label_names_line(self, tmp_path, label, message):
+        path = tmp_path / "gt.jsonl"
+        header = json.dumps({"format": "ground-truth", "version": 1})
+        path.write_text(f'{header}\n{{"box": [0, 0, 1, 1], "label": {label}}}\n')
+        with pytest.raises(ProposalFileError, match=f"line 2: .*{message}"):
+            read_ground_truth(path)
+
+    def test_whole_float_label_reads(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        header = json.dumps({"format": "ground-truth", "version": 1})
+        path.write_text(f'{header}\n{{"box": [0, 0, 1, 1], "label": 2.0}}\n')
+        assert read_ground_truth(path).labels == (2,)
 
 
 class TestRunReport:

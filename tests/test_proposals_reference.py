@@ -13,6 +13,8 @@ message and line.  The deliberate differences are checked as such:
 - an id outside int64 is rejected naming its line, and so is a number too
   large for a float anywhere in a record, where the reference let the bare
   ``OverflowError`` escape;
+- an id that is a number with a fractional part is rejected naming its line,
+  where the reference truncated it;
 - ``validate`` reports an image size that is not finite and positive before
   everything else.
 """
@@ -323,6 +325,7 @@ def _deliberate(exc: Exception | None) -> bool:
     return isinstance(exc, ProposalFileError) and (
         "ragged features cannot be stacked" in str(exc)
         or "does not fit in int64" in str(exc)
+        or "is not a whole number" in str(exc)
         or isinstance(exc.__cause__, OverflowError)
     )
 
@@ -334,6 +337,10 @@ def _check_deliberate(lines: list[str], path: Path, got: ProposalFileError) -> N
     _compare(lines[: got.line - 1], prefix)
     if "does not fit in int64" in str(got):
         assert not -(2**63) <= int(json.loads(lines[got.line - 1])["id"]) < 2**63
+        return
+    if "is not a whole number" in str(got):
+        ident = json.loads(lines[got.line - 1])["id"]
+        assert isinstance(ident, float) and ident != int(ident)
         return
     # Through it, the reference reads ragged features, or lets the
     # OverflowError escape.
@@ -405,6 +412,17 @@ class TestDeliberateDifferences:
         with pytest.raises(ProposalFileError, match="ragged features") as err:
             formats.read_proposal_file(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("ident", [3.7, 3.2, -0.5])
+    def test_fractional_id_names_its_line(self, tmp_path, ident):
+        path = _write(tmp_path / "p.jsonl", [_rec(0), _rec(ident)])
+        with pytest.raises(ProposalFileError, match=rf"id {ident} is not a whole number") as err:
+            formats.read_proposal_file(path)
+        assert err.value.line == 3
+
+    def test_whole_float_id_reads(self, tmp_path):
+        path = _write(tmp_path / "p.jsonl", [_rec(3.0), _rec(-2.0)])
+        assert formats.read_proposal_file(path).arrays.ids.tolist() == [3, -2]
 
     @pytest.mark.parametrize("ident", [2**63, -(2**63) - 1, 10**30])
     def test_id_outside_int64_names_its_line(self, tmp_path, ident):

@@ -1,10 +1,14 @@
-"""The shared gradient-check driver against the two loops it replaced.
+"""The shared gradient-check driver against the three loops it replaced.
 
-``gradcheck_unrolled`` and ``gradcheck_matching`` below are the earlier
-stand-alone implementations, kept verbatim as the reference oracle.  The
-helpers they call did not change and are imported from the library.  Reports
-must be equal as dataclasses, which compares every float exactly.
+``gradcheck_unrolled``, ``gradcheck_matching`` and ``jacobian_formula_check``
+below are the earlier stand-alone implementations, kept verbatim as the
+reference oracle.  The helpers they call did not change and are imported from
+the library.  Reports must be equal as dataclasses, which compares every
+float exactly.  The one deliberate difference: a NaN error in the first
+Jacobian trial now fails the check, where the reference dropped it.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,12 +21,21 @@ from sinkhorn_nms.hungarian import hungarian_solve
 from sinkhorn_nms.losses import grad_matching_wrt_cost, matching_loss
 from sinkhorn_nms.refine import _softmax_scaled
 from sinkhorn_nms.rng import SplitMix64
-from sinkhorn_nms.sinkhorn import Marginals, SinkhornParams, grad_unrolled, solve
+from sinkhorn_nms.sinkhorn import NO_EARLY_STOP_TOL as _NO_EARLY_STOP_TOL
+from sinkhorn_nms.sinkhorn import (
+    Marginals,
+    SinkhornParams,
+    grad_analytic,
+    grad_unrolled,
+    solve,
+)
 from sinkhorn_nms.verification import (
-    _NO_EARLY_STOP_TOL,
     DEFAULT_FD_STEP,
     GradCheckReport,
     GradCheckTrial,
+    JacobianCheckReport,
+    _check_harness_args,
+    _check_sizes,
     _sizes,
     _step_note,
     central_difference,
@@ -121,6 +134,47 @@ def gradcheck_matching(
     )
 
 
+def jacobian_formula_check(
+    trials: int = 20,
+    m_max: int = 4,
+    k_max: int = 3,
+    tau: float = 1.0,
+    iters: int = 10,
+    seed: int = 0,
+    fd_step: float = DEFAULT_FD_STEP,
+    threshold: float = 1e-6,
+) -> JacobianCheckReport:
+    _check_harness_args(trials, fd_step, threshold)
+    _check_sizes(m_max=m_max, k_max=k_max)
+    rng = SplitMix64(seed)
+    softmax_err = 0.0
+    sink_gap = 0.0
+    params = SinkhornParams(tau=tau, iters=iters, tol=_NO_EARLY_STOP_TOL)
+    for _ in range(trials):
+        m, k = _sizes(rng, m_max, k_max)
+        C = random_matrix(rng, m, k)
+        U = random_matrix(rng, m, k, -1.0, 1.0)
+        S = _softmax_scaled(-C, tau)
+        grad = grad_analytic(S, tau, U)
+        fd = central_difference(
+            lambda X: float((U * _softmax_scaled(-X, tau)).sum()), C, fd_step
+        )
+        softmax_err = max(softmax_err, normalized_error(grad, fd))
+
+        marg = Marginals.uniform(m, k)
+        S_full = solve(C, params, marg)
+        g_analytic = grad_analytic(S_full, tau, U)
+        g_unrolled = grad_unrolled(C, params, marg, U)
+        sink_gap = max(sink_gap, normalized_error(g_analytic, g_unrolled))
+    return JacobianCheckReport(
+        softmax_max_error=softmax_err,
+        sinkhorn_gap=sink_gap,
+        trials=trials,
+        passed=softmax_err < threshold,
+        threshold=threshold,
+    )
+
+
 def _global_softmax(values: np.ndarray, tau: float) -> np.ndarray:
     z = -values / tau
     z = z - z.max()
@@ -151,6 +205,34 @@ def test_unrolled_report_equals_reference(case, seed):
 def test_matching_report_equals_reference(case, lambda_kl, seed):
     new = verification.gradcheck_matching(trials=3, seed=seed, lambda_kl=lambda_kl, **case)
     assert new == gradcheck_matching(trials=3, seed=seed, lambda_kl=lambda_kl, **case)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("case", CASES)
+def test_jacobian_report_equals_reference(case, seed):
+    new = verification.jacobian_formula_check(trials=3, seed=seed, **case)
+    assert new == jacobian_formula_check(trials=3, seed=seed, **case)
+
+
+def test_jacobian_nan_error_fails_where_reference_passed():
+    # The reference folded the errors into 0.0 with max(), which drops a NaN
+    # in the first trial and reported a pass; the driver keeps it.
+    kwargs = dict(trials=3, tau=1e-150, fd_step=1e200)
+    with np.errstate(all="ignore"):
+        assert jacobian_formula_check(**kwargs).passed
+        new = verification.jacobian_formula_check(**kwargs)
+    assert math.isnan(new.softmax_max_error) and not new.passed
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(trials=0), dict(fd_step=0.0), dict(threshold=math.nan), dict(m_max=1)]
+)
+def test_jacobian_check_rejects_like_reference(kwargs):
+    with pytest.raises(ValueError) as want:
+        jacobian_formula_check(**kwargs)
+    with pytest.raises(ValueError) as got:
+        verification.jacobian_formula_check(**kwargs)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
