@@ -6,10 +6,12 @@ shortest round-trip float encoding, so write-then-read reproduces every value
 bit for bit.  A proposal file is written from, and read straight into, the
 arrays of a ``ProposalSet`` (no object per record), so its features must
 stack: a record whose feature shape differs from the earlier records' is a
-parse error naming its line, as is an id outside int64.  An id or label that
-is a JSON number with a fractional part is a parse error too, never
-truncated.  Reports are single canonical JSON documents (sorted keys, fixed
-separators, trailing newline), which makes equal runs byte-identical.
+parse error naming its line, as is an id outside int64.  An id, label or
+``feature_dim`` that is a JSON number with a fractional part is a parse error
+too, never truncated, and so is a JSON string or boolean where a number
+belongs, never coerced.  Reports are single canonical JSON documents (sorted
+keys, fixed separators, trailing newline), which makes equal runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ GROUND_TRUTH_FORMAT = "ground-truth"
 RUN_REPORT_FORMAT = "run-report"
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# what ``json.loads`` gives for a JSON number; ``bool`` is not one
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class ProposalFileError(ValueError):
@@ -56,8 +60,8 @@ def _mask_to_record(mask: Mask) -> dict:
 
 
 def _mask_from_record(rec: dict) -> Mask:
-    values = np.array(rec["values"], dtype=np.float64).reshape(
-        int(rec["height"]), int(rec["width"])
+    values = np.array(_numbers(rec["values"], "mask values"), dtype=np.float64).reshape(
+        _whole(rec["height"], "mask height"), _whole(rec["width"], "mask width")
     )
     return Mask(values)
 
@@ -87,9 +91,26 @@ def write_proposal_file(path: str | Path, pset: ProposalSet) -> None:
     Path(path).write_text("".join(proposal_set_to_lines(pset)))
 
 
+def _numbers(value, name: str):
+    """``value`` as given; a JSON string or boolean in it, or in its lists, raises.
+
+    ``float``, ``int`` and ``np.array`` would read ``"0.25"`` and ``true`` as
+    numbers, and a dtype check alone misses ``[1, true]``, which stacks as
+    int64.  Other non-numbers are left to the conversion that follows.
+    """
+    if type(value) is list:
+        if _NUMBER_TYPES.issuperset(map(type, value)):
+            return value
+        for item in value:
+            _numbers(item, name)
+    elif type(value) in (str, bool):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return value
+
+
 def _whole(value, name: str) -> int:
-    """``int(value)``, except that a number with a fractional part raises."""
-    whole = int(value)
+    """``int(value)`` of a JSON number; a fractional part raises."""
+    whole = int(_numbers(value, name))
     if isinstance(value, float) and whole != value:
         raise ValueError(f"{name} {value!r} is not a whole number")
     return whole
@@ -113,17 +134,17 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
 
     No ``Proposal`` or ``Box`` is built per record.  Each record is converted
     in the order box, mask, id, score, feature, and the first failure raises
-    ``ProposalFileError`` naming its line, as does an id with a fractional
-    part or outside int64 and a feature whose shape differs from the earlier
-    records' (ragged features cannot be stacked).  Value checks that do not
+    ``ProposalFileError`` naming its line, as does a string or boolean in a
+    numeric field, an id with a fractional part or outside int64 and a feature
+    whose shape differs from the earlier records'.  Value checks that do not
     stop stacking (scores, box extents, a uniform ``feature_dim`` mismatch)
     are left to :func:`~sinkhorn_nms.proposals.validate`.
     """
     header, lines = _read_header(path, PROPOSALS_FORMAT)
     try:
-        image_width = float(header["image_width"])
-        image_height = float(header["image_height"])
-        feature_dim = int(header["feature_dim"])
+        image_width = float(_numbers(header["image_width"], "image_width"))
+        image_height = float(_numbers(header["image_height"], "image_height"))
+        feature_dim = _whole(header["feature_dim"], "feature_dim")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProposalFileError(1, f"malformed header: {exc}") from exc
     ids, scores, boxes, features, masks = [], [], [], [], []
@@ -133,7 +154,7 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
             continue
         rec = _parse_line(line, line_no)
         try:
-            box = [float(v) for v in rec["box"]]
+            box = [float(v) for v in _numbers(rec["box"], "box")]
             # finite and ordered corners; Box words the error otherwise
             if len(box) != 4 or not (
                 -math.inf < box[0] <= box[2] < math.inf
@@ -144,8 +165,8 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
             ident = _whole(rec["id"], "id")
             if not _INT64_MIN <= ident <= _INT64_MAX:
                 raise ValueError(f"id {ident} does not fit in int64")
-            score = float(rec["score"])
-            feature = np.array(rec["feature"], dtype=np.float64)
+            score = float(_numbers(rec["score"], "score"))
+            feature = np.array(_numbers(rec["feature"], "feature"), dtype=np.float64)
             if shape is None:
                 shape = feature.shape
             elif feature.shape != shape:
@@ -204,7 +225,7 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
             continue
         rec = _parse_line(line, line_no)
         try:
-            boxes.append(Box(*(float(v) for v in rec["box"])))
+            boxes.append(Box(*(float(v) for v in _numbers(rec["box"], "box"))))
             labels.append(_whole(rec.get("label", 0), "label"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProposalFileError(line_no, f"malformed region record: {exc}") from exc

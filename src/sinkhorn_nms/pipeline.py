@@ -58,6 +58,14 @@ class AdaptiveKParams:
     score_floor: float = DEFAULT_SCORE_FLOOR
     k_max: int = DEFAULT_K_MAX
 
+    def __post_init__(self):
+        if not math.isfinite(self.score_floor):
+            raise ValueError(f"score_floor must be finite, got {self.score_floor!r}")
+        if not 0.0 < self.iou_thresh < 1.0:  # NaN fails this too
+            raise ValueError("iou_thresh must lie strictly between 0 and 1")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:

@@ -2,11 +2,11 @@
 
 A ``ProposalSet`` stores its proposals as arrays (``ProposalArrays``): ids,
 scores, boxes, features and an optional mask tuple, all read-only, which the
-pipeline reads directly.  ``Proposal`` objects remain the per-item API: a set
-built from objects hands back those objects, and a set built from arrays (by
-the file reader and ``synth_generate``) makes a view per proposal on access.
-Features of differing shapes cannot be stacked and are rejected on
-construction.
+pipeline reads directly.  A set built from ``Proposal`` objects stacks them
+once into that storage.  ``Proposal`` remains the per-item API: each read of a
+row builds a new ``Proposal`` value from it, so two reads of one row are equal
+by value, not the same object.  Features of differing shapes cannot be stacked
+and are rejected on construction.
 
 ``synth_generate`` builds desk-scale scenes with known structure: ground-truth
 regions at seeded pseudo-random positions, proposals jittered around them,
@@ -22,7 +22,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Iterator
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -56,28 +55,15 @@ class Proposal:
         object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only view of ``values`` as ``dtype``; the caller's array stays writable."""
-    view = np.asarray(values, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass(frozen=True, eq=False)
 class ProposalArrays(Sequence):
-    """Column storage of M proposals, and the sequence of their views.
+    """Column storage of M proposals, read as a sequence of ``Proposal`` values.
 
     ``ids`` is (M,) int64, ``scores`` (M,), ``boxes`` (M, 4) corner-encoded,
     ``features`` (M, F), all float64 and read-only.  ``masks`` holds one
     ``Mask`` or ``None`` per proposal, or is ``None`` when no proposal has a
-    mask.  Indexing builds a ``Proposal`` view with Python ``int``/``float``
-    scalars and a read-only feature row, on access only.
-
-    Views are not cached: ``_views`` maps a row of the storage they were
-    built from to its view by weak reference only, so a view lives exactly as
-    long as its caller holds it.  While it does, the same row read through
-    this storage or a ``take`` of it (``_rows`` maps rows back) is that same
-    object, as with a set of objects.
+    mask.  Indexing builds a new ``Proposal`` with Python ``int``/``float``
+    scalars, a read-only feature row and the row's ``Mask`` object.
     """
 
     ids: np.ndarray
@@ -85,13 +71,14 @@ class ProposalArrays(Sequence):
     boxes: np.ndarray
     features: np.ndarray
     masks: tuple[Mask | None, ...] | None = None
-    _views: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
-    _rows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("ids", np.int64), ("scores", np.float64),
                             ("boxes", np.float64), ("features", np.float64)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            # a read-only view; the caller's array stays writable
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         M = self.ids.shape[0]
         if self.ids.ndim != 1 or self.scores.shape != (M,) or self.boxes.shape != (M, 4):
             raise ValueError("ids, scores and boxes must be (M,), (M,) and (M, 4) arrays")
@@ -131,7 +118,8 @@ class ProposalArrays(Sequence):
         )
 
     def __reduce__(self):
-        # the weak view map cannot be pickled, and a copy starts without views
+        # pickle through the constructor, which makes the copy's arrays
+        # read-only again; unpickled as plain arrays they would be writable
         return (ProposalArrays, (self.ids, self.scores, self.boxes, self.features, self.masks))
 
     def __len__(self) -> int:
@@ -141,18 +129,13 @@ class ProposalArrays(Sequence):
         if isinstance(i, slice):
             return self.take(np.arange(len(self))[i])
         i = range(len(self))[i]
-        key = i if self._rows is None else int(self._rows[i])
-        view = self._views.get(key)
-        if view is None:
-            view = Proposal(
-                id=int(self.ids[i]),
-                score=float(self.scores[i]),
-                box=Box(*self.boxes[i].tolist()),
-                feature=self.features[i],
-                mask=None if self.masks is None else self.masks[i],
-            )
-            self._views[key] = view
-        return view
+        return Proposal(
+            id=int(self.ids[i]),
+            score=float(self.scores[i]),
+            box=Box(*self.boxes[i].tolist()),
+            feature=self.features[i],
+            mask=None if self.masks is None else self.masks[i],
+        )
 
     def __iter__(self) -> Iterator[Proposal]:
         return map(self.__getitem__, range(len(self)))
@@ -163,18 +146,12 @@ class ProposalArrays(Sequence):
         masks = None
         if self.masks is not None and any(self.masks[i] is not None for i in index):
             masks = tuple(self.masks[i] for i in index)
-        # rows with new scores are new proposals, so they get views of their own
-        shared = {}
-        if scores is None:
-            rows = index if self._rows is None else self._rows[index]
-            shared = dict(_views=self._views, _rows=rows)
         return ProposalArrays(
             ids=self.ids[index],
             scores=self.scores[index] if scores is None else scores,
             boxes=self.boxes[index],
             features=self.features[index],
             masks=masks,
-            **shared,
         )
 
 
@@ -182,10 +159,10 @@ class ProposalArrays(Sequence):
 class ProposalSet:
     """Ordered proposals plus the image extent and shared feature dimension.
 
-    ``arrays`` is the one storage the pipeline reads.  A set built from
-    ``Proposal`` objects keeps and hands back those objects; a set built from
-    a ``ProposalArrays`` (as the file reader and ``synth_generate`` build
-    theirs) has that as its ``proposals`` and makes views on access.
+    ``proposals`` is always a ``ProposalArrays``, the one storage the
+    pipeline reads (``arrays`` names the same object).  A sequence of
+    ``Proposal`` objects given instead is stacked into one on construction;
+    the file reader and ``synth_generate`` pass their arrays directly.
 
     Construction is lenient so that malformed sets can be inspected; use
     :func:`validate` to obtain the list of invariant violations.  Only
@@ -193,21 +170,21 @@ class ProposalSet:
     stacked.
     """
 
-    proposals: Sequence[Proposal]
+    proposals: ProposalArrays
     image_width: float
     image_height: float
     feature_dim: int
-    arrays: ProposalArrays = field(init=False, repr=False)
 
     def __post_init__(self):
-        arrays = self.proposals
-        if not isinstance(arrays, ProposalArrays):
-            object.__setattr__(self, "proposals", tuple(self.proposals))
-            arrays = ProposalArrays.from_proposals(self.proposals)
-        object.__setattr__(self, "arrays", arrays)
+        if not isinstance(self.proposals, ProposalArrays):
+            object.__setattr__(self, "proposals", ProposalArrays.from_proposals(tuple(self.proposals)))
+
+    @property
+    def arrays(self) -> ProposalArrays:
+        return self.proposals
 
     def __len__(self) -> int:
-        return len(self.arrays)
+        return len(self.proposals)
 
     def __iter__(self) -> Iterator[Proposal]:
         return iter(self.proposals)
@@ -218,26 +195,17 @@ class ProposalSet:
 
     def boxes(self) -> np.ndarray:
         """All boxes as a read-only (M, 4) array."""
-        return self.arrays.boxes
+        return self.proposals.boxes
 
     def scores(self) -> np.ndarray:
-        return self.arrays.scores
+        return self.proposals.scores
 
     def features(self) -> np.ndarray:
-        return self.arrays.features
+        return self.proposals.features
 
     def take(self, index: np.ndarray, scores: np.ndarray | None = None) -> "ProposalSet":
-        """The proposals at ``index``, in that order, with ``scores`` if given.
-
-        A set of objects stays one: the same objects, or copies carrying the
-        new scores.
-        """
-        if isinstance(self.proposals, ProposalArrays):
-            return replace(self, proposals=self.proposals.take(index, scores))
-        picked = [self.proposals[i] for i in index]
-        if scores is not None:
-            picked = [replace(p, score=float(s)) for p, s in zip(picked, scores)]
-        return replace(self, proposals=tuple(picked))
+        """The proposals at ``index``, in that order, with ``scores`` if given."""
+        return replace(self, proposals=self.proposals.take(index, scores))
 
 
 @dataclass(frozen=True)

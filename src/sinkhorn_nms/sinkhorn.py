@@ -83,7 +83,7 @@ class SinkhornParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise ValueError(f"tau must be positive, got {self.tau!r}")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.tol <= 0:

@@ -311,17 +311,18 @@ def contraction_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_sizes(m_max=m_max, k_max=k_max)
+    # every temperature is checked before the first trial
+    grid = [SinkhornParams(tau=tau, iters=iters, log_domain=log_domain) for tau in taus]
     rng = SplitMix64(seed)
     rows = []
-    for tau in taus:
+    for params in grid:
         for t in range(trials):
             m, k = _sizes(rng, m_max, k_max)
             C = random_matrix(rng, m, k)
-            params = SinkhornParams(tau=tau, iters=iters, log_domain=log_domain)
             report = verify_contraction(C, params, Marginals.uniform(m, k))
             rows.append(
                 ContractionRow(
-                    tau=tau,
+                    tau=params.tau,
                     trial=t,
                     m=m,
                     k=k,

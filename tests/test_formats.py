@@ -219,12 +219,27 @@ class TestGroundTruthFile:
     @pytest.mark.parametrize("label, message", [
         ("1e400", "cannot convert float infinity to integer"),
         ("1.5", "label 1.5 is not a whole number"),
+        ("true", "label True is not a number"),
+        ('"1"', "label '1' is not a number"),
     ])
     def test_unreadable_label_names_line(self, tmp_path, label, message):
         path = tmp_path / "gt.jsonl"
         header = json.dumps({"format": "ground-truth", "version": 1})
         path.write_text(f'{header}\n{{"box": [0, 0, 1, 1], "label": {label}}}\n')
         with pytest.raises(ProposalFileError, match=f"line 2: .*{message}"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize("box, message", [
+        ('["1", 0, 2, 2]', "box '1' is not a number"),
+        ("[0, 0, 2, false]", "box False is not a number"),
+        ('"0022"', "box '0022' is not a number"),
+    ])
+    def test_string_or_boolean_box_names_line(self, tmp_path, box, message):
+        # float() would read each of these as a box
+        path = tmp_path / "gt.jsonl"
+        header = json.dumps({"format": "ground-truth", "version": 1})
+        path.write_text(f'{header}\n{{"box": [0, 0, 1, 1]}}\n{{"box": {box}}}\n')
+        with pytest.raises(ProposalFileError, match=f"line 3: .*{message}"):
             read_ground_truth(path)
 
     def test_whole_float_label_reads(self, tmp_path):

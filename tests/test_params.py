@@ -5,14 +5,24 @@ false), so without an explicit finiteness check a NaN entropy threshold or
 tolerance would run the pipeline and return silently wrong results.  The
 gradient-check harnesses likewise reject a finite-difference step that is
 not finite and positive, a non-finite pass threshold, a KL weight that is not
-finite and nonnegative, and a size bound below 2, before any trial.
+finite and nonnegative, and a size bound below 2, before any trial; the
+convergence sweeps reject a temperature that is not finite and positive
+before the first trial at any temperature.
 """
 
 import math
 
 import pytest
 
-from sinkhorn_nms import PipelineConfig, SynthConfig, dnms, synth_generate, verification
+from sinkhorn_nms import (
+    AdaptiveKParams,
+    PipelineConfig,
+    SynthConfig,
+    cli,
+    dnms,
+    synth_generate,
+    verification,
+)
 from sinkhorn_nms.cost import CostWeights
 from sinkhorn_nms.refine import RefineParams
 from sinkhorn_nms.sinkhorn import SinkhornParams
@@ -28,6 +38,7 @@ FIELDS = [
     (CostWeights, "alpha"),
     (CostWeights, "beta"),
     (CostWeights, "gamma"),
+    (AdaptiveKParams, "score_floor"),
 ]
 
 
@@ -36,6 +47,19 @@ FIELDS = [
 def test_non_finite_field_rejected(cls, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k_max": 0}, r"^k_max must be >= 1, got 0"),
+    ({"k_max": -5}, r"^k_max must be >= 1, got -5"),
+    ({"iou_thresh": 0.0}, r"^iou_thresh must lie strictly between 0 and 1"),
+    ({"iou_thresh": 1.0}, r"^iou_thresh must lie strictly between 0 and 1"),
+    ({"iou_thresh": math.nan}, r"^iou_thresh must lie strictly between 0 and 1"),
+    ({"iou_thresh": math.inf}, r"^iou_thresh must lie strictly between 0 and 1"),
+])
+def test_adaptive_k_params_rejected_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        AdaptiveKParams(**kwargs)
 
 
 def test_nan_entropy_threshold_cannot_reach_the_pipeline():
@@ -99,6 +123,26 @@ def test_harness_rejects_sizes_below_two(check, kwargs, name, no_trials):
     # Instances are at least 2 x 2, so a smaller bound used to be clamped.
     with pytest.raises(ValueError, match=rf"^{name} must be >= 2"):
         check(trials=1, **kwargs)
+
+
+@pytest.mark.parametrize("taus, message", [
+    ((0.5, 1.0, -1.0), r"^tau must be positive, got -1.0"),
+    ((0.5, 0.0), r"^tau must be positive, got 0.0"),
+    ((0.5, math.nan), r"^tau must be finite, got nan"),
+    ((math.inf, 0.5), r"^tau must be finite, got inf"),
+])
+@pytest.mark.parametrize("sweep", [verification.contraction_sweep, verification.convergence_sweep])
+def test_sweep_rejects_bad_tau_before_any_trial(sweep, taus, message, no_trials):
+    with pytest.raises(ValueError, match=message):
+        sweep(taus=taus, trials=5)
+
+
+def test_convergence_command_rejects_bad_tau_before_any_trial(no_trials, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["convergence", "--taus", "0.5,1.0,-1", "--trials", "5", "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "tau must be positive, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_frank_wolfe_sweep_rejects_k_max_below_two(no_trials):

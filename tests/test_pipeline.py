@@ -255,8 +255,13 @@ class TestGreedyNms:
         ids = {p.id for p in pset}
         assert all(p.id in ids for p in kept)
         assert len(kept) <= len(pset)
+        # each survivor is its input row, bit for bit
         originals = {p.id: p for p in pset}
-        assert all(p is originals[p.id] for p in kept)
+        for p in kept:
+            o = originals[p.id]
+            assert p.score.hex() == o.score.hex() and p.mask is o.mask
+            assert p.box.as_array().tobytes() == o.box.as_array().tobytes()
+            assert p.feature.tobytes() == o.feature.tobytes()
 
     def test_tie_broken_by_lower_id(self, three_box_set):
         tied = dataclasses.replace(

@@ -4,17 +4,30 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkhorn_nms import (
     Box,
+    Mask,
+    PipelineConfig,
     Proposal,
     ProposalSet,
     SynthConfig,
+    dnms,
+    greedy_nms,
     quality_score,
+    soft_nms,
     synth_generate,
     validate,
 )
-from sinkhorn_nms.formats import proposal_set_to_lines
+from sinkhorn_nms.formats import dumps_canonical, proposal_set_to_lines, run_report
+
+
+def _bits(p: Proposal) -> tuple:
+    """A proposal bit for bit: id, score, box and feature bytes, and its mask object."""
+    return (p.id, struct.pack("<d", p.score), p.box.as_array().tobytes(),
+            p.feature.tobytes(), id(p.mask))
 
 
 def test_counts_forced_by_config():
@@ -187,8 +200,8 @@ class TestArrayStorage:
         assert type(p.id) is int and type(p.score) is float
         assert p.id == 5 and p.box.as_array().tobytes() == pset.boxes()[5].tobytes()
         assert np.shares_memory(p.feature, pset.features())
-        # a live view is the one every read of that row returns
-        assert pset.proposals[5] is p and list(pset)[5] is p
+        # every read of that row builds an equal value
+        assert _bits(pset.proposals[5]) == _bits(p) == _bits(list(pset)[5])
         ref = weakref.ref(p)
         del p
         gc.collect()
@@ -199,16 +212,17 @@ class TestArrayStorage:
         views = list(pset)
         kept = pset.take(np.array([4, 1]))
         assert kept.arrays.ids.tolist() == [4, 1]
-        assert kept.proposals[0] is views[4] and kept.proposals[1] is views[1]
-        rescored = pset.take(np.array([4]), np.array([0.25]))
-        assert rescored.proposals[0].score == 0.25 and rescored.proposals[0] is not views[4]
+        assert list(map(_bits, kept)) == [_bits(views[4]), _bits(views[1])]
+        rescored = pset.take(np.array([4]), np.array([0.25])).proposals[0]
+        assert rescored.score == 0.25
+        assert _bits(dataclasses.replace(rescored, score=views[4].score)) == _bits(views[4])
         assert pset.scores()[4] != 0.25
 
     def test_object_built_set_hands_back_its_objects(self):
         objs = tuple(self.scene())
         pset = ProposalSet(proposals=objs, image_width=640.0, image_height=640.0, feature_dim=8)
-        assert all(a is b for a, b in zip(pset, objs))
-        assert pset.take(np.array([2])).proposals[0] is objs[2]
+        assert list(map(_bits, pset)) == list(map(_bits, objs))
+        assert _bits(pset.take(np.array([2])).proposals[0]) == _bits(objs[2])
         assert pset.boxes().tobytes() == self.scene().boxes().tobytes()
 
     def test_ragged_object_features_rejected(self):
@@ -231,6 +245,37 @@ class TestArrayStorage:
         pset = self.scene()
         again = pickle.loads(pickle.dumps(pset))
         assert proposal_set_to_lines(again) == proposal_set_to_lines(pset)
+        # the copy is rebuilt through the constructor, so it is read-only too
+        a = again.arrays
+        for arr in (a.ids, a.scores, a.boxes, a.features):
+            assert not arr.flags.writeable
+
+    @given(
+        st.integers(1, 4), st.integers(1, 6), st.floats(0.0, 12.0), st.floats(0.0, 0.3),
+        st.integers(0, 2**32), st.sampled_from([0, 1, 2]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_object_built_set_is_the_array_built_set(
+        self, regions, per_region, jitter, noise, seed, mask_every
+    ):
+        pset, gt = synth_generate(SynthConfig(num_regions=regions, proposals_per_region=per_region,
+                                              jitter=jitter, score_noise=noise, seed=seed))
+        if mask_every:
+            masks = tuple(Mask(np.full((2, 3), (i % 5) / 4)) if i % mask_every == 0 else None
+                          for i in range(len(pset)))
+            pset = dataclasses.replace(
+                pset, proposals=dataclasses.replace(pset.proposals, masks=masks))
+        objs = dataclasses.replace(pset, proposals=tuple(pset))
+        for name in ("ids", "scores", "boxes", "features"):
+            assert getattr(objs.arrays, name).tobytes() == getattr(pset.arrays, name).tobytes()
+        assert objs.arrays.masks == pset.arrays.masks
+        assert proposal_set_to_lines(objs) == proposal_set_to_lines(pset)
+        for kept in (lambda s: greedy_nms(s, 0.5), lambda s: soft_nms(s, 0.5, 0.05)):
+            assert list(map(_bits, kept(objs))) == list(map(_bits, kept(pset)))
+        cfg = PipelineConfig()
+        assert dumps_canonical(run_report(cfg, *dnms(objs, gt, cfg))) == dumps_canonical(
+            run_report(cfg, *dnms(pset, gt, cfg))
+        )
 
     def test_centers_match_box_center(self):
         from sinkhorn_nms.geometry import box_centers

@@ -13,8 +13,11 @@ message and line.  The deliberate differences are checked as such:
 - an id outside int64 is rejected naming its line, and so is a number too
   large for a float anywhere in a record, where the reference let the bare
   ``OverflowError`` escape;
-- an id that is a number with a fractional part is rejected naming its line,
-  where the reference truncated it;
+- an id, ``feature_dim`` or mask size that is a number with a fractional
+  part is rejected naming its line, where the reference truncated it;
+- a JSON string or boolean in a numeric field (a header number, an id, a
+  score, a box, feature or mask entry, a mask size) is rejected naming its
+  line, where the reference read ``"12"`` and ``true`` as numbers;
 - ``validate`` reports an image size that is not finite and positive before
   everything else.
 """
@@ -36,12 +39,18 @@ from sinkhorn_nms import Box, Mask, Proposal, formats, proposals
 from sinkhorn_nms.formats import (
     PROPOSALS_FORMAT,
     ProposalFileError,
-    _mask_from_record,
     _parse_line,
     _read_header,
 )
 
 # reference implementations
+
+
+def _mask_from_record(rec: dict) -> Mask:
+    values = np.array(rec["values"], dtype=np.float64).reshape(
+        int(rec["height"]), int(rec["width"])
+    )
+    return Mask(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +273,7 @@ def proposal_files(draw) -> list[str]:
     header = {"format": "proposals", "version": 1, "image_width": draw(_sides),
               "image_height": draw(_sides), "feature_dim": dim}
     if draw(st.integers(0, 9)) == 0:
-        header["feature_dim"] = draw(st.one_of(_odd, st.integers(-1, 4)))
+        header["feature_dim"] = draw(st.one_of(_odd, st.integers(-1, 4), st.just(2.5)))
     lines = [json.dumps(header)]
     kinds = ["record"] * 8 + ["blank"] + (["json", "object"] if not plain else [])
     for _ in range(draw(st.integers(0, 7))):
@@ -326,8 +335,30 @@ def _deliberate(exc: Exception | None) -> bool:
         "ragged features cannot be stacked" in str(exc)
         or "does not fit in int64" in str(exc)
         or "is not a whole number" in str(exc)
+        or "is not a number" in str(exc)
         or isinstance(exc.__cause__, OverflowError)
     )
+
+
+def _numeric_fields(line: str, header: bool) -> tuple[list, list]:
+    """The numbers of a header or record line, lists flattened, and its integers."""
+    obj = json.loads(line)
+    keys = ("image_width", "image_height", "feature_dim") if header else (
+        "id", "score", "box", "feature")
+    values = [obj.get(k) for k in keys]
+    integers = [obj.get("feature_dim" if header else "id")]
+    mask = None if header else obj.get("mask")
+    if isinstance(mask, dict):
+        values += [mask.get(k) for k in ("height", "width", "values")]
+        integers += [mask.get("height"), mask.get("width")]
+    leaves = []
+    while values:
+        v = values.pop()
+        if isinstance(v, list):
+            values.extend(v)
+        else:
+            leaves.append(v)
+    return leaves, integers
 
 
 def _check_deliberate(lines: list[str], path: Path, got: ProposalFileError) -> None:
@@ -338,9 +369,19 @@ def _check_deliberate(lines: list[str], path: Path, got: ProposalFileError) -> N
     if "does not fit in int64" in str(got):
         assert not -(2**63) <= int(json.loads(lines[got.line - 1])["id"]) < 2**63
         return
+    numbers, integers = _numeric_fields(lines[got.line - 1], header=got.line == 1)
     if "is not a whole number" in str(got):
-        ident = json.loads(lines[got.line - 1])["id"]
-        assert isinstance(ident, float) and ident != int(ident)
+        assert any(
+            isinstance(v, float) and not v.is_integer()
+            and f"{v!r} is not a whole number" in str(got)
+            for v in integers
+        )
+        return
+    if "is not a number" in str(got):
+        # the line holds the string or boolean named, in a numeric field
+        assert any(
+            type(v) in (str, bool) and f"{v!r} is not a number" in str(got) for v in numbers
+        )
         return
     # Through it, the reference reads ragged features, or lets the
     # OverflowError escape.
@@ -419,6 +460,37 @@ class TestDeliberateDifferences:
         with pytest.raises(ProposalFileError, match=rf"id {ident} is not a whole number") as err:
             formats.read_proposal_file(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", True, "id True is not a number"),
+        ("id", "12", "id '12' is not a number"),
+        ("score", "0.25", "score '0.25' is not a number"),
+        ("box", ["0", "0", 1, 1], "box '0' is not a number"),
+        ("feature", ["1", 0.5], "feature '1' is not a number"),
+        ("feature", [1, True], "feature True is not a number"),
+        ("mask", {"height": 1, "width": 2, "values": [0.5, "1"]},
+         "mask values '1' is not a number"),
+        ("mask", {"height": True, "width": 2, "values": [0.5, 1.0]},
+         "mask height True is not a number"),
+    ])
+    def test_string_or_boolean_number_names_its_line(self, tmp_path, field, value, message):
+        path = _write(tmp_path / "p.jsonl", [_rec(0), {**_rec(1), field: value}])
+        # the reference reads each of these as a number
+        assert len(read_proposal_file(path)) == 2
+        with pytest.raises(ProposalFileError, match=message) as err:
+            formats.read_proposal_file(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("header, message", [
+        ({"feature_dim": 2.5}, "feature_dim 2.5 is not a whole number"),
+        ({"feature_dim": True}, "feature_dim True is not a number"),
+        ({"image_width": "10"}, "image_width '10' is not a number"),
+    ])
+    def test_string_boolean_or_fractional_header_names_line_one(self, tmp_path, header, message):
+        path = _write(tmp_path / "p.jsonl", [_rec(0)], **header)
+        assert len(read_proposal_file(path)) == 1
+        with pytest.raises(ProposalFileError, match=f"line 1: malformed header: {message}"):
+            formats.read_proposal_file(path)
 
     def test_whole_float_id_reads(self, tmp_path):
         path = _write(tmp_path / "p.jsonl", [_rec(3.0), _rec(-2.0)])
