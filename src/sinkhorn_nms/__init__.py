@@ -9,7 +9,14 @@ harnesses that empirically check the solver's convergence guarantees.
 """
 
 from .baselines import greedy_nms, soft_nms
-from .clustering import Centroids, KMeansResult, estimate_k, init_centroids, kmeans
+from .clustering import (
+    AdaptiveKParams,
+    Centroids,
+    KMeansResult,
+    estimate_k,
+    init_centroids,
+    kmeans,
+)
 from .cost import CostMatrix, CostWeights, build_cost, feature_distance, kappa, spatial_distance
 from .geometry import Box, Mask, iou, iou_matrix, quality_score, quality_scores, total_variation
 from .hungarian import Assignment, hungarian_solve, kl_divergence
@@ -25,7 +32,6 @@ from .losses import (
     tv_loss,
 )
 from .pipeline import (
-    AdaptiveKParams,
     MethodMetrics,
     PipelineConfig,
     PipelineDiagnostics,

@@ -7,6 +7,7 @@ centers are normalized by the image diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,11 +48,53 @@ class Centroids:
         return int(self.feature_centroids.shape[0])
 
 
+@dataclass(frozen=True)
+class AdaptiveKParams:
+    """Arguments of ``estimate_k``, checked once for every caller."""
+
+    iou_thresh: float = DEFAULT_IOU_THRESH
+    score_floor: float = DEFAULT_SCORE_FLOOR
+    k_max: int = DEFAULT_K_MAX
+
+    def __post_init__(self):
+        if not math.isfinite(self.score_floor):
+            raise ValueError(f"score_floor must be finite, got {self.score_floor!r}")
+        if not 0.0 < self.iou_thresh < 1.0:  # NaN fails this too
+            raise ValueError("iou_thresh must lie strictly between 0 and 1")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+
+
 @dataclass(frozen=True, eq=False)
 class KMeansResult:
     centroids: np.ndarray
     assignment: np.ndarray
     wcss: tuple[float, ...]
+
+
+def _member_means(
+    pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's member mean, or its centroid when it has no members.
+
+    The means equal ``pts[labels == k].mean(axis=0)`` bit for bit: numpy's
+    axis-0 sum of several columns starts from ``+0.0`` and adds the member
+    rows one after another in index order, as ``np.add.at`` into zeros does.
+    A single column sums pairwise instead, so that case takes each cluster's
+    sum with the same reduction.
+    """
+    K = centroids.shape[0]
+    counts = np.bincount(labels, minlength=K)
+    sums = np.zeros(centroids.shape)
+    if pts.shape[1] == 1:
+        for k in np.flatnonzero(counts):
+            sums[k] = pts[labels == k].sum(axis=0)
+    else:
+        np.add.at(sums, labels, pts)
+    means = centroids.copy()
+    filled = counts > 0
+    means[filled] = sums[filled] / counts[filled, None]
+    return means, counts
 
 
 def kmeans(
@@ -95,21 +138,16 @@ def kmeans(
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]
     for _ in range(max_iters):
-        new_centroids = centroids.copy()
-        reseeded: set[int] = set()
-        for k in range(K):
-            members = labels == k
-            if members.any():
-                new_centroids[k] = pts[members].mean(axis=0)
+        new_centroids, counts = _member_means(pts, labels, centroids)
         # Re-seed empty clusters to the point farthest from its own centroid,
         # excluding points already consumed by this round of re-seeding.
-        for k in range(K):
-            if not (labels == k).any():
-                candidates = own_d2.copy()
-                candidates[list(reseeded)] = -np.inf
-                far = int(np.argmax(candidates))
-                new_centroids[k] = pts[far]
-                reseeded.add(far)
+        reseeded: list[int] = []
+        for k in np.flatnonzero(counts == 0):
+            candidates = own_d2.copy()
+            candidates[reseeded] = -np.inf
+            far = int(np.argmax(candidates))
+            new_centroids[k] = pts[far]
+            reseeded.append(far)
         centroids = new_centroids
         new_labels, own_d2 = assign(centroids)
         wcss.append(float(own_d2.sum()))
@@ -120,10 +158,7 @@ def kmeans(
 
     # Make every centroid the mean of its assigned points even when the
     # iteration budget ran out mid-update.
-    for k in range(K):
-        members = labels == k
-        if members.any():
-            centroids[k] = pts[members].mean(axis=0)
+    centroids, _ = _member_means(pts, labels, centroids)
     return KMeansResult(centroids=centroids, assignment=labels, wcss=tuple(wcss))
 
 
@@ -149,12 +184,11 @@ def estimate_k(
     Survivors of greedy suppression at ``iou_thresh`` over proposals scoring
     at least ``score_floor``, clamped to [1, min(M, k_max)].  This is a
     heuristic stand-in for a model-based estimate; it is cheap and grows
-    with scene complexity.
+    with scene complexity.  The arguments are checked by ``AdaptiveKParams``.
     """
+    AdaptiveKParams(iou_thresh, score_floor, k_max)
     if len(pset) == 0:
         raise ValueError("no proposals")
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValueError("iou_thresh must lie strictly between 0 and 1")
     eligible = np.flatnonzero(pset.scores() >= score_floor)
     if eligible.size:
         survivors = len(greedy_nms(pset.take(eligible), iou_thresh))

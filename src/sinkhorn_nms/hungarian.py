@@ -6,10 +6,12 @@ returns the lexicographically smallest pair list.  The underlying linear
 assignment subproblems are solved with scipy; the tie-break is enforced by
 re-solving with pairs forced in lexicographic order, so optimality is never
 sacrificed for determinism.  Committed rows only ever shrink the free rows
-to a suffix, so every forced sub-problem is a row-suffix slice of the cost
-matrix with one more column taken out.  A forced pair counts as optimal when
-it is within the rounding error of an n-term sum of the optimum, so it can
-neither reject a true optimum nor admit a pair that is measurably worse.
+to a suffix.  So at each slot every free column gets one C-ordered block,
+the free rows by the other free columns, and each forced sub-problem is a
+row view of a block: a probe makes no copy of its own, and scipy needs no
+C-order copy of it.  A forced pair counts as optimal when it is within the
+rounding error of an n-term sum of the optimum, so it can neither reject a
+true optimum nor admit a pair that is measurably worse.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .cost import CostMatrix, cost_values
-from .sinkhorn import SoftAssignment
+from .sinkhorn import SoftAssignment, require_positive
 
 # Rounding error of an n-term sum, in units of n**2 * eps * max(1, max|C|),
 # allowed when testing whether a forced partial matching can still be
@@ -41,8 +43,8 @@ class Assignment:
 
 
 def _lap_cost(values: np.ndarray) -> float:
-    if values.shape[0] == 0 or values.shape[1] == 0:
-        return 0.0
+    # Never empty: a cost matrix has a row and a column, and a probe keeps
+    # at least as many free rows and columns as pairs still to be placed.
     rows, cols = linear_sum_assignment(values)
     return float(values[rows, cols].sum())
 
@@ -62,20 +64,25 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
     optimum = _lap_cost(values)
     tol = _OPT_TOL * n * n * max(1.0, float(np.abs(values).max()))
 
+    rows = values.tolist()
     pairs: list[tuple[int, int]] = []
     fixed_cost = 0.0
     start = 0  # the free rows are always the suffix start..M-1
-    cols = np.arange(K)
+    cols = list(range(K))
     for slot in range(n):
         need = n - slot - 1
-        # Column indices of the free columns without each one in turn.
-        others = [np.delete(cols, i) for i in range(len(cols))]
+        # The free columns without each one in turn, and for each the
+        # C-ordered sub-problem on the free rows; a probe below row j is
+        # then a row view of it.
+        others = [cols[:i] + cols[i + 1 :] for i in range(len(cols))]
+        blocks = [values[start:].take(c, axis=1) for c in others] if need else []
         # Rows skipped here stay unmatched, which is only affordable when
         # enough rows remain below the candidate to complete the matching.
         for j in range(start, M - need):
-            for k, cols_after in zip(cols.tolist(), others):
-                rest = _lap_cost(values[j + 1 :, cols_after]) if need else 0.0
-                if fixed_cost + values[j, k] + rest <= optimum + tol:
+            row = rows[j]
+            for i, k in enumerate(cols):
+                rest = _lap_cost(blocks[i][j + 1 - start :]) if need else 0.0
+                if fixed_cost + row[k] + rest <= optimum + tol:
                     break
             else:
                 continue
@@ -83,15 +90,14 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
         else:  # pragma: no cover - optimum always admits completion
             raise RuntimeError("failed to reconstruct an optimal matching")
         pairs.append((j, k))
-        fixed_cost += float(values[j, k])
+        fixed_cost += row[k]
         start = j + 1
-        cols = cols_after
+        cols = others[i]
 
     indicator = np.zeros((M, K), dtype=np.float64)
     for j, k in pairs:
         indicator[j, k] = 1.0
-    total = float(sum(values[j, k] for j, k in pairs))
-    return Assignment(pairs=tuple(pairs), total_cost=total, indicator=indicator)
+    return Assignment(pairs=tuple(pairs), total_cost=fixed_cost, indicator=indicator)
 
 
 def kl_divergence(
@@ -104,8 +110,7 @@ def kl_divergence(
     wherever the coupling may spread mass.  Terms where the coupling is zero
     contribute nothing.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive("eps", eps)
     Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
     P = Pstar.indicator
     if Sm.shape != P.shape:

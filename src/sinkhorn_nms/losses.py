@@ -17,7 +17,14 @@ import numpy as np
 
 from .geometry import Box, Mask, box_array, quality_scores, total_variation
 from .hungarian import KL_SMOOTHING_EPS, Assignment, kl_divergence
-from .sinkhorn import Marginals, SinkhornParams, SoftAssignment, grad_unrolled, solve
+from .sinkhorn import (
+    Marginals,
+    SinkhornParams,
+    SoftAssignment,
+    grad_unrolled,
+    require_positive,
+    solve,
+)
 from .cost import CostMatrix, cost_values
 
 BCE_EPS = 1e-7
@@ -119,6 +126,7 @@ def kl_grad_wrt_assignment(
     With s_bar = S / T, T = sum(S):
     d KL / d S[a, b] = (log(s_bar[a, b] / p_bar[a, b]) - KL) / T.
     """
+    require_positive("eps", eps)
     Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
     total = float(Sm.sum())
     s_bar = Sm / total

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
-from .clustering import (
-    DEFAULT_IOU_THRESH,
-    DEFAULT_K_MAX,
-    DEFAULT_SCORE_FLOOR,
-    estimate_k,
-    init_centroids,
-)
+from .clustering import AdaptiveKParams, estimate_k, init_centroids
 from .cost import CostWeights, build_cost, kappa
 from .geometry import Box, Mask, box_array, quality_scores
 from .proposals import GroundTruth, ProposalSet
@@ -50,21 +44,6 @@ class RefinedProposal:
     mask: Mask | None
     source_weights: np.ndarray
     probability: float | None = None
-
-
-@dataclass(frozen=True)
-class AdaptiveKParams:
-    iou_thresh: float = DEFAULT_IOU_THRESH
-    score_floor: float = DEFAULT_SCORE_FLOOR
-    k_max: int = DEFAULT_K_MAX
-
-    def __post_init__(self):
-        if not math.isfinite(self.score_floor):
-            raise ValueError(f"score_floor must be finite, got {self.score_floor!r}")
-        if not 0.0 < self.iou_thresh < 1.0:  # NaN fails this too
-            raise ValueError("iou_thresh must lie strictly between 0 and 1")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,15 @@ class NumericalError(RuntimeError):
     """Raised when a solve produces non-finite intermediates."""
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a scalar argument that is not finite and > 0, naming it.
+
+    NaN passes ``value <= 0``, so an ordering check alone lets it through.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SinkhornParams:
     tau: float = 0.1
@@ -108,6 +117,8 @@ class Marginals:
         for name, vec in (("a", a), ("b", b)):
             if vec.ndim != 1 or vec.size == 0:
                 raise ValueError(f"marginal {name} must be a 1-d non-empty vector")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"marginal {name} must be finite")
             if (vec <= 0).any():
                 raise ValueError(f"marginal {name} must be strictly positive")
             if abs(float(vec.sum()) - 1.0) > 1e-12:
@@ -152,8 +163,7 @@ class ContractionReport:
 
 def gibbs_kernel(C: CostMatrix | np.ndarray, tau: float, log: bool = False) -> np.ndarray:
     """Elementwise exp(-C / tau); with ``log=True`` the exponent -C / tau itself."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    require_positive("tau", tau)
     values = cost_values(C)
     scaled = -values / tau
     return scaled if log else np.exp(scaled)
@@ -279,8 +289,7 @@ def hilbert_distance(P: np.ndarray, Q: np.ndarray) -> float:
 
 def contraction_rate(C: CostMatrix | np.ndarray, tau: float) -> float:
     """Worst-case per-pass contraction factor tanh(kappa(C) / (4 tau))."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    require_positive("tau", tau)
     return float(np.tanh(kappa(C) / (4.0 * tau)))
 
 
@@ -385,8 +394,7 @@ def grad_analytic(
     Exact when ``S`` is a single global softmax of -C / tau; for fully scaled
     couplings it is an approximation whose gap is reported by the harness.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    require_positive("tau", tau)
     Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != Sm.shape:

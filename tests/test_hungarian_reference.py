@@ -154,3 +154,14 @@ def test_matches_reference_oracle_on_training_scenes():
         pset, _ = synth_generate(SynthConfig(num_regions=4, proposals_per_region=6, seed=seed))
         C = build_cost(pset, init_centroids(pset, 6, seed), CostWeights())
         assert_same_as_reference(C)
+
+
+def test_matches_reference_oracle_at_training_scale():
+    # The train-128x16 shape, where each slot probes many rows per column
+    # block, and its transpose, where every row is matched and M < K.
+    for seed in range(2):
+        pset, _ = synth_generate(SynthConfig(num_regions=16, proposals_per_region=8, seed=seed))
+        C = build_cost(pset, init_centroids(pset, 16, seed), CostWeights())
+        assert C.values.shape == (128, 16)
+        assert_same_as_reference(C)
+        assert_same_as_reference(np.ascontiguousarray(C.values.T))

@@ -1,0 +1,147 @@
+"""The one-scatter-add member means of ``kmeans`` against the loop they replaced.
+
+``kmeans`` below is the earlier implementation, which took each cluster's
+mean with its own ``pts[labels == k].mean(axis=0)`` in the Lloyd update and
+in the final pass, kept verbatim as the reference oracle.  Both must return
+the same centroid bytes, the same assignment and the same ``wcss`` bits,
+also when duplicate points leave clusters empty and get them re-seeded,
+when entries are ``±0.0`` and when the iteration budget runs out mid-update.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from sinkhorn_nms import SynthConfig, clustering, synth_generate
+from sinkhorn_nms.clustering import DEFAULT_MAX_ITERS, KMeansResult
+from sinkhorn_nms.geometry import box_centers
+from sinkhorn_nms.rng import SplitMix64
+
+# reference implementation
+
+
+def kmeans(
+    points: Sequence[Sequence[float]] | np.ndarray,
+    K: int,
+    seed: int,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> KMeansResult:
+    """Lloyd's algorithm with seeded farthest-point initialization.
+
+    The first centroid is a seeded random point; each further centroid is the
+    point farthest from its nearest chosen centroid.  Empty clusters are
+    re-seeded to the point currently farthest from its own centroid.  The
+    ``wcss`` trace records the within-cluster sum of squares after every
+    assignment step and is non-increasing by construction.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-d array")
+    n = pts.shape[0]
+    if K > n:
+        raise ValueError(f"insufficient points: K={K} > {n}")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+
+    rng = SplitMix64(seed)
+    centroids = np.empty((K, pts.shape[1]), dtype=np.float64)
+    centroids[0] = pts[rng.randint(n)]
+    nearest = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        centroids[k] = pts[int(np.argmax(nearest))]
+        nearest = np.minimum(nearest, ((pts - centroids[k]) ** 2).sum(axis=1))
+
+    def assign(cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        return labels, d2[np.arange(n), labels]
+
+    labels, own_d2 = assign(centroids)
+    wcss = [float(own_d2.sum())]
+    for _ in range(max_iters):
+        new_centroids = centroids.copy()
+        reseeded: set[int] = set()
+        for k in range(K):
+            members = labels == k
+            if members.any():
+                new_centroids[k] = pts[members].mean(axis=0)
+        # Re-seed empty clusters to the point farthest from its own centroid,
+        # excluding points already consumed by this round of re-seeding.
+        for k in range(K):
+            if not (labels == k).any():
+                candidates = own_d2.copy()
+                candidates[list(reseeded)] = -np.inf
+                far = int(np.argmax(candidates))
+                new_centroids[k] = pts[far]
+                reseeded.add(far)
+        centroids = new_centroids
+        new_labels, own_d2 = assign(centroids)
+        wcss.append(float(own_d2.sum()))
+        if (new_labels == labels).all():
+            labels = new_labels
+            break
+        labels = new_labels
+
+    # Make every centroid the mean of its assigned points even when the
+    # iteration budget ran out mid-update.
+    for k in range(K):
+        members = labels == k
+        if members.any():
+            centroids[k] = pts[members].mean(axis=0)
+    return KMeansResult(centroids=centroids, assignment=labels, wcss=tuple(wcss))
+
+
+def assert_same_as_reference(points, K, seed, max_iters):
+    got = clustering.kmeans(points, K, seed, max_iters)
+    want = kmeans(points, K, seed, max_iters)
+    assert got.centroids.dtype == want.centroids.dtype
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.assignment.dtype == want.assignment.dtype
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array(got.wcss).tobytes() == np.array(want.wcss).tobytes()
+    assert all(type(w) is float for w in got.wcss)
+
+
+# A few distinct rows drawn many times: duplicates tie the farthest-point
+# initialisation and the nearest-centroid choice, which leaves clusters empty.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def problems(draw):
+    dim = draw(st.integers(1, 4))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), dim), elements=ENTRIES))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    points = pool[picks]
+    K = draw(st.integers(1, len(points)))
+    max_iters = draw(st.sampled_from([1, 2, DEFAULT_MAX_ITERS]))
+    return points, K, draw(st.integers(0, 2**32)), max_iters
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+@example((np.array([[-0.0, 0.0], [-0.0, -0.0], [3.0, -0.0]]), 2, 0, 1))  # signed zeros
+@example((np.zeros((5, 3)), 5, 1, DEFAULT_MAX_ITERS))  # every cluster but one empty
+@example((np.random.default_rng(2).normal(size=(37, 1)), 2, 3, 1))  # pairwise column sums
+@example((np.random.default_rng(4).normal(size=(37, 10)), 3, 5, 1))
+def test_matches_reference_oracle(problem):
+    assert_same_as_reference(*problem)
+
+
+def test_matches_reference_oracle_on_training_scenes():
+    # The joint [center / diag ; feature] points that ``init_centroids`` clusters.
+    for seed in range(4):
+        pset, _ = synth_generate(SynthConfig(num_regions=16, proposals_per_region=8, seed=seed))
+        joint = np.hstack([box_centers(pset.boxes()) / pset.image_diag, pset.features()])
+        for max_iters in (1, DEFAULT_MAX_ITERS):
+            assert_same_as_reference(joint, 16, seed, max_iters)

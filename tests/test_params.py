@@ -7,11 +7,14 @@ gradient-check harnesses likewise reject a finite-difference step that is
 not finite and positive, a non-finite pass threshold, a KL weight that is not
 finite and nonnegative, and a size bound below 2, before any trial; the
 convergence sweeps reject a temperature that is not finite and positive
-before the first trial at any temperature.
+before the first trial at any temperature.  The functions called directly
+with a temperature or a KL smoothing, the marginals and ``estimate_k`` check
+their arguments the same way.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from sinkhorn_nms import (
@@ -20,12 +23,22 @@ from sinkhorn_nms import (
     SynthConfig,
     cli,
     dnms,
+    estimate_k,
+    hungarian_solve,
+    kl_divergence,
     synth_generate,
     verification,
 )
 from sinkhorn_nms.cost import CostWeights
+from sinkhorn_nms.losses import kl_grad_wrt_assignment
 from sinkhorn_nms.refine import RefineParams
-from sinkhorn_nms.sinkhorn import SinkhornParams
+from sinkhorn_nms.sinkhorn import (
+    Marginals,
+    SinkhornParams,
+    contraction_rate,
+    gibbs_kernel,
+    grad_analytic,
+)
 
 FIELDS = [
     (SinkhornParams, "tau"),
@@ -148,3 +161,55 @@ def test_convergence_command_rejects_bad_tau_before_any_trial(no_trials, tmp_pat
 def test_frank_wolfe_sweep_rejects_k_max_below_two(no_trials):
     with pytest.raises(ValueError, match=r"^k_max must be >= 2"):
         verification.frank_wolfe_sweep(trials=1, k_max=1)
+
+
+@pytest.mark.parametrize("a, b, name", [
+    ([0.5, math.nan], [1.0], "a"),
+    ([1.0], [math.nan], "b"),
+    ([0.5, math.inf], [1.0], "a"),
+    ([1.0], [0.5, -math.inf], "b"),
+])
+def test_marginals_reject_non_finite_entries(a, b, name):
+    with pytest.raises(ValueError, match=rf"^marginal {name} must be finite"):
+        Marginals(np.array(a), np.array(b))
+
+
+BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+UNIFORM = np.full((2, 2), 0.25)
+MATCHING = hungarian_solve(np.eye(2))
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+@pytest.mark.parametrize("call", [
+    lambda tau: gibbs_kernel(np.ones((2, 2)), tau),
+    lambda tau: contraction_rate(np.array([[0.0, 1.0], [1.0, 0.0]]), tau),
+    lambda tau: grad_analytic(UNIFORM, tau, np.ones((2, 2))),
+])
+def test_direct_calls_reject_bad_tau(call, value):
+    with pytest.raises(ValueError, match=r"^tau must be finite and positive"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+@pytest.mark.parametrize("call", [kl_divergence, kl_grad_wrt_assignment])
+def test_kl_rejects_bad_eps(call, value):
+    with pytest.raises(ValueError, match=r"^eps must be finite and positive"):
+        call(UNIFORM, MATCHING, eps=value)
+
+
+SCENE, _ = synth_generate(SynthConfig(num_regions=4, proposals_per_region=4, seed=1))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"score_floor": math.nan}, r"^score_floor must be finite, got nan"),
+    ({"score_floor": -math.inf}, r"^score_floor must be finite, got -inf"),
+    ({"k_max": 0}, r"^k_max must be >= 1, got 0"),
+    ({"k_max": -5}, r"^k_max must be >= 1, got -5"),
+    ({"iou_thresh": math.nan}, r"^iou_thresh must lie strictly between 0 and 1"),
+    ({"iou_thresh": 1.0}, r"^iou_thresh must lie strictly between 0 and 1"),
+])
+def test_estimate_k_applies_the_adaptive_k_rules(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        AdaptiveKParams(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        estimate_k(SCENE, **kwargs)
