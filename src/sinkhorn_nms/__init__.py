@@ -68,7 +68,6 @@ from .sinkhorn import (
     SinkhornParams,
     SoftAssignment,
     contraction_rate,
-    gibbs_kernel,
     grad_analytic,
     grad_unrolled,
     hilbert_distance,
@@ -120,7 +119,6 @@ __all__ = [
     "estimate_k",
     "feature_distance",
     "frank_wolfe",
-    "gibbs_kernel",
     "grad_analytic",
     "grad_matching_wrt_cost",
     "grad_unrolled",

@@ -26,7 +26,7 @@ import numpy as np
 from . import formats
 from .cost import CostWeights
 from .losses import LossWeights
-from .pipeline import AdaptiveKParams, PipelineConfig, compare, dnms
+from .pipeline import PipelineConfig, compare, dnms
 from .proposals import SynthConfig, synth_generate, validate
 from .refine import RefineParams
 from .sinkhorn import NumericalError, SinkhornParams
@@ -212,7 +212,6 @@ def _cmd_run(args) -> int:
         weights=CostWeights(alpha=args.alpha, beta=args.beta, gamma=args.gamma),
         refine=RefineParams(tau_H=tau_h, t_max=args.fw_max_iters),
         k=args.k,
-        adaptive=AdaptiveKParams(),
         seed=args.seed,
     )
     start = time.perf_counter()

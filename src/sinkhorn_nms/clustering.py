@@ -43,10 +43,6 @@ class Centroids:
         object.__setattr__(self, "feature_centroids", mu)
         object.__setattr__(self, "spatial_centroids", nu)
 
-    @property
-    def K(self) -> int:
-        return int(self.feature_centroids.shape[0])
-
 
 @dataclass(frozen=True)
 class AdaptiveKParams:

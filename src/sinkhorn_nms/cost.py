@@ -54,14 +54,6 @@ class CostMatrix:
             raise ValueError("cost matrix entries must be finite")
         object.__setattr__(self, "values", values)
 
-    @property
-    def M(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def K(self) -> int:
-        return int(self.values.shape[1])
-
 
 def cost_values(C: CostMatrix | np.ndarray) -> np.ndarray:
     """Accept either a CostMatrix or a raw array and return float64 values."""

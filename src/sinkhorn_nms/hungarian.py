@@ -23,13 +23,15 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 from .cost import CostMatrix, cost_values
-from .sinkhorn import SoftAssignment, require_positive
+from .sinkhorn import SoftAssignment, coupling_values
 
 # Rounding error of an n-term sum, in units of n**2 * eps * max(1, max|C|),
 # allowed when testing whether a forced partial matching can still be
 # completed to an optimal one.
 _OPT_TOL = 4.0 * np.finfo(np.float64).eps
 
+# Added to every entry of the 0/1 matching before it is normalized, so the
+# divergence stays finite wherever the coupling spreads mass.
 KL_SMOOTHING_EPS = 1e-6
 
 
@@ -100,23 +102,24 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
     return Assignment(pairs=tuple(pairs), total_cost=fixed_cost, indicator=indicator)
 
 
-def kl_divergence(
-    S: SoftAssignment | np.ndarray, Pstar: Assignment, eps: float = KL_SMOOTHING_EPS
-) -> float:
+def kl_divergence(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> float:
     """KL divergence between the normalized coupling and the smoothed matching.
 
     Both arguments are normalized to total mass one; the indicator is
-    smoothed by ``eps`` before normalization because it has zero entries
-    wherever the coupling may spread mass.  Terms where the coupling is zero
-    contribute nothing.
+    smoothed by ``KL_SMOOTHING_EPS`` before normalization because it has zero
+    entries wherever the coupling may spread mass.  Terms where the coupling
+    is zero contribute nothing.  A coupling with a non-finite entry or
+    without positive total mass is rejected.
     """
-    require_positive("eps", eps)
-    Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
+    Sm = coupling_values(S)
     P = Pstar.indicator
     if Sm.shape != P.shape:
         raise ValueError(f"shape mismatch: {Sm.shape} vs {P.shape}")
-    s_bar = Sm / Sm.sum()
-    p_bar = (P + eps) / (P + eps).sum()
+    total = float(Sm.sum())
+    if not (np.isfinite(Sm).all() and total > 0):
+        raise ValueError(f"S must have finite entries and positive total mass, got sum {total!r}")
+    s_bar = Sm / total
+    p_bar = (P + KL_SMOOTHING_EPS) / (P + KL_SMOOTHING_EPS).sum()
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = xlogy(s_bar, np.where(s_bar > 0, s_bar / p_bar, 1.0))
     return max(0.0, float(terms.sum()))

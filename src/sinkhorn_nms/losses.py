@@ -21,13 +21,14 @@ from .sinkhorn import (
     Marginals,
     SinkhornParams,
     SoftAssignment,
+    coupling_values,
     grad_unrolled,
-    require_positive,
     solve,
 )
 from .cost import CostMatrix, cost_values
 
 BCE_EPS = 1e-7
+LABEL_IOU_THRESH = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,28 +74,28 @@ def matching_loss(
 ) -> float:
     """Frobenius inner product <C, S> plus ``lambda_kl`` times the smoothed KL."""
     values = cost_values(C)
-    Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
+    Sm = coupling_values(S)
     if values.shape != Sm.shape:
         raise ValueError(f"shape mismatch: {values.shape} vs {Sm.shape}")
     transport = float((values * Sm).sum())
     if lambda_kl == 0.0:
         return transport
-    return transport + lambda_kl * kl_divergence(Sm, Pstar, KL_SMOOTHING_EPS)
+    return transport + lambda_kl * kl_divergence(Sm, Pstar)
 
 
-def bce(p: float, y: int, eps: float = BCE_EPS) -> float:
-    """Binary cross-entropy -y log p - (1 - y) log(1 - p), with p clamped."""
-    p = min(1.0 - eps, max(eps, p))
+def bce(p: float, y: int) -> float:
+    """Binary cross-entropy -y log p - (1 - y) log(1 - p), p clamped by ``BCE_EPS``."""
+    p = min(1.0 - BCE_EPS, max(BCE_EPS, p))
     return float(-y * math.log(p) - (1 - y) * math.log(1.0 - p))
 
 
-def bce_mean(ps: Sequence[float], ys: Sequence[int], eps: float = BCE_EPS) -> float:
+def bce_mean(ps: Sequence[float], ys: Sequence[int]) -> float:
     """Mean binary cross-entropy over a batch."""
     if len(ps) != len(ys):
         raise ValueError("probability and label batches must have equal length")
     if len(ps) == 0:
         raise ValueError("empty batch")
-    return float(np.mean([bce(p, y, eps) for p, y in zip(ps, ys)]))
+    return float(np.mean([bce(p, y) for p, y in zip(ps, ys)]))
 
 
 def tv_loss(masks: Sequence[Mask]) -> float:
@@ -118,20 +119,18 @@ def total_loss(l_cls: float, l_match: float, l_reg: float, w: LossWeights) -> Lo
     )
 
 
-def kl_grad_wrt_assignment(
-    S: SoftAssignment | np.ndarray, Pstar: Assignment, eps: float = KL_SMOOTHING_EPS
-) -> np.ndarray:
+def kl_grad_wrt_assignment(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> np.ndarray:
     """Derivative of the smoothed, normalized KL with respect to the coupling.
 
     With s_bar = S / T, T = sum(S):
     d KL / d S[a, b] = (log(s_bar[a, b] / p_bar[a, b]) - KL) / T.
     """
-    require_positive("eps", eps)
-    Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
+    Sm = coupling_values(S)
+    kl = kl_divergence(Sm, Pstar)  # rejects a coupling that is not one
     total = float(Sm.sum())
     s_bar = Sm / total
-    p_bar = (Pstar.indicator + eps) / (Pstar.indicator + eps).sum()
-    kl = kl_divergence(Sm, Pstar, eps)
+    P = Pstar.indicator
+    p_bar = (P + KL_SMOOTHING_EPS) / (P + KL_SMOOTHING_EPS).sum()
     with np.errstate(divide="ignore"):
         log_ratio = np.log(s_bar) - np.log(p_bar)
     return (log_ratio - kl) / total
@@ -158,8 +157,6 @@ def grad_matching_wrt_cost(
     return S.matrix + grad_unrolled(values, params, marg, upstream)
 
 
-def quality_labels(
-    boxes: Sequence[Box], gts: Sequence[Box], thresh: float = 0.5
-) -> np.ndarray:
-    """Binary supervision targets: 1 where the best ground-truth IoU reaches ``thresh``."""
-    return (quality_scores(box_array(boxes), gts) >= thresh).astype(np.int64)
+def quality_labels(boxes: Sequence[Box], gts: Sequence[Box]) -> np.ndarray:
+    """Binary targets: 1 where the best ground-truth IoU reaches ``LABEL_IOU_THRESH``."""
+    return (quality_scores(box_array(boxes), gts) >= LABEL_IOU_THRESH).astype(np.int64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
-from .clustering import AdaptiveKParams, estimate_k, init_centroids
+from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
 from .cost import CostWeights, build_cost, kappa
 from .geometry import Box, Mask, box_array, quality_scores
 from .proposals import GroundTruth, ProposalSet
@@ -28,6 +28,7 @@ from .sinkhorn import (
     SinkhornParams,
     SoftAssignment,
     contraction_rate,
+    coupling_values,
     solve,
 )
 
@@ -54,7 +55,6 @@ class PipelineConfig:
     weights: CostWeights = field(default_factory=CostWeights)
     refine: RefineParams = field(default_factory=RefineParams)
     k: int | None = None
-    adaptive: AdaptiveKParams = field(default_factory=AdaptiveKParams)
     seed: int = 0
 
 
@@ -98,7 +98,7 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     Proposals without masks contribute nothing to the mask average; if no
     contributor has a mask the refined mask is absent.
     """
-    Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
+    Sm = coupling_values(S)
     M, K = Sm.shape
     if M != len(pset):
         raise ValueError(f"assignment has {M} rows but the set has {len(pset)} proposals")
@@ -158,12 +158,7 @@ def dnms(
             raise ValueError("k must be >= 1")
         K = min(cfg.k, M)
     else:
-        K = estimate_k(
-            pset,
-            iou_thresh=cfg.adaptive.iou_thresh,
-            score_floor=cfg.adaptive.score_floor,
-            k_max=cfg.adaptive.k_max,
-        )
+        K = estimate_k(pset)
     cents = init_centroids(pset, K, cfg.seed)
     C = build_cost(pset, cents, cfg.weights)
     marg = Marginals.uniform(M, K)
@@ -200,8 +195,8 @@ def compare(
 
     methods = {
         "dnms": lambda: dnms(pset, gt, cfg)[0],
-        "greedy_nms": lambda: greedy_nms(pset, cfg.adaptive.iou_thresh),
-        "soft_nms": lambda: soft_nms(pset, DEFAULT_SOFT_NMS_SIGMA, cfg.adaptive.score_floor),
+        "greedy_nms": lambda: greedy_nms(pset, DEFAULT_IOU_THRESH),
+        "soft_nms": lambda: soft_nms(pset, DEFAULT_SOFT_NMS_SIGMA, DEFAULT_SCORE_FLOOR),
     }
     out: dict[str, MethodMetrics] = {}
     for name, method in methods.items():

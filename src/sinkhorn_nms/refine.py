@@ -5,7 +5,9 @@ simplex intersected with the entropy superlevel set {H(p) >= tau_H}.  The
 linear maximization oracle has the closed form softmax(q / lambda); the
 multiplier lambda is found by bisection so that the entropy constraint is
 met, and the conditional-gradient loop with exact line search reaches the
-optimum of the linear objective in at most two iterations.
+optimum of the linear objective in at most two iterations.  Only ``tau_H``
+and the iteration budget ``t_max`` are settable; the bisection and stopping
+numerics are module constants.
 
 Entropy is measured in nats throughout.
 """
@@ -18,6 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
+
+# Bracket of the softmax multiplier lambda and the bisection width within it.
+LAMBDA_MIN = 0.001
+LAMBDA_MAX = 100.0
+BISECT_EPS = 1e-6
+# Objective change below which the conditional-gradient loop stops.
+DELTA = 1e-8
 
 
 class UnreachableEntropyWarning(UserWarning):
@@ -34,6 +43,8 @@ class SimplexVector:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("simplex vector must be 1-d and non-empty")
+        if not np.isfinite(p).all():  # NaN passes both range checks below
+            raise ValueError("simplex vector entries must be finite")
         if (p < -1e-12).any() or (p > 1.0 + 1e-12).any():
             raise ValueError("simplex vector entries must lie in [0, 1]")
         if abs(float(p.sum()) - 1.0) > 1e-10:
@@ -48,23 +59,14 @@ class SimplexVector:
 class RefineParams:
     tau_H: float = 0.6
     t_max: int = 50
-    delta: float = 1e-8
-    lambda_min: float = 0.001
-    lambda_max: float = 100.0
-    bisect_eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tau_H", "delta", "lambda_min", "lambda_max", "bisect_eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.tau_H):
+            raise ValueError(f"tau_H must be finite, got {self.tau_H!r}")
         if self.tau_H < 0:
             raise ValueError("tau_H must be nonnegative")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.delta <= 0 or self.bisect_eps <= 0:
-            raise ValueError("delta and bisect_eps must be positive")
-        if not (0 < self.lambda_min < self.lambda_max):
-            raise ValueError("require 0 < lambda_min < lambda_max")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +92,18 @@ def _softmax_scaled(q: np.ndarray, lam: float) -> np.ndarray:
 def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
     """Feasible maximizer of <q, s> over the entropy-constrained simplex.
 
-    If the softmax at ``lambda_min`` already meets the entropy target it is
+    If the softmax at ``LAMBDA_MIN`` already meets the entropy target it is
     returned directly; otherwise lambda is bisected until the bracket width
-    drops below ``bisect_eps`` and the larger-lambda endpoint is returned, so
+    drops below ``BISECT_EPS`` and the larger-lambda endpoint is returned, so
     the entropy constraint holds exactly on the output.  When the target is
-    unreachable even at ``lambda_max`` the uniform vector is returned with an
+    unreachable even at ``LAMBDA_MAX`` the uniform vector is returned with an
     :class:`UnreachableEntropyWarning`.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("q must be a 1-d non-empty vector")
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite")
     K = q.shape[0]
     max_entropy = math.log(K)
     if params.tau_H > max_entropy + 1e-12:
@@ -111,18 +115,18 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
         # The feasible set collapses to the entropy maximizer.
         return SimplexVector(uniform)
 
-    lo, hi = params.lambda_min, params.lambda_max
+    lo, hi = LAMBDA_MIN, LAMBDA_MAX
     s_lo = _softmax_scaled(q, lo)
     if entropy(s_lo) >= params.tau_H:
         return SimplexVector(s_lo)
     s_hi = _softmax_scaled(q, hi)
     if entropy(s_hi) < params.tau_H:
         warnings.warn(
-            "entropy target unreachable at lambda_max; returning uniform",
+            "entropy target unreachable at LAMBDA_MAX; returning uniform",
             UnreachableEntropyWarning,
         )
         return SimplexVector(uniform)
-    while hi - lo > params.bisect_eps:
+    while hi - lo > BISECT_EPS:
         mid = 0.5 * (lo + hi)
         if entropy(_softmax_scaled(q, mid)) < params.tau_H:
             lo = mid
@@ -146,7 +150,7 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
 
     Starts from the uniform distribution, moves toward the oracle point with
     exact line search, and stops when the objective change falls below
-    ``delta`` or after ``t_max`` iterations.  The returned point is feasible:
+    ``DELTA`` or after ``t_max`` iterations.  The returned point is feasible:
     it sums to one and its entropy is at least ``tau_H``.
     """
     q = np.asarray(q, dtype=np.float64)
@@ -162,7 +166,7 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
         f = float(q @ p)
         trace.append(f)
         iterations += 1
-        if abs(f - f_prev) < params.delta:
+        if abs(f - f_prev) < DELTA:
             break
         f_prev = f
     return FrankWolfeResult(p=SimplexVector(p), iterations=iterations, objective_trace=tuple(trace))

@@ -149,6 +149,11 @@ class SoftAssignment:
     log_domain: bool
 
 
+def coupling_values(S: SoftAssignment | np.ndarray) -> np.ndarray:
+    """Accept either a SoftAssignment or a raw array and return float64 values."""
+    return S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class ContractionReport:
     """Observed Hilbert-metric contraction ratios against the tanh bound."""
@@ -159,14 +164,6 @@ class ContractionReport:
     passed: bool
     iterations: int
     distances: tuple[float, ...]
-
-
-def gibbs_kernel(C: CostMatrix | np.ndarray, tau: float, log: bool = False) -> np.ndarray:
-    """Elementwise exp(-C / tau); with ``log=True`` the exponent -C / tau itself."""
-    require_positive("tau", tau)
-    values = cost_values(C)
-    scaled = -values / tau
-    return scaled if log else np.exp(scaled)
 
 
 def _check_dims(values: np.ndarray, marg: Marginals) -> None:
@@ -395,7 +392,7 @@ def grad_analytic(
     couplings it is an approximation whose gap is reported by the harness.
     """
     require_positive("tau", tau)
-    Sm = S.matrix if isinstance(S, SoftAssignment) else np.asarray(S, dtype=np.float64)
+    Sm = coupling_values(S)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != Sm.shape:
         raise ValueError("upstream must match the coupling shape")

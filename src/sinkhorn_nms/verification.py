@@ -35,6 +35,12 @@ from .sinkhorn import (
 DEFAULT_FD_STEP = 1e-5
 # Beyond this step the central difference no longer approximates a derivative.
 ABSURD_FD_STEP = 0.1
+# Iteration budget of each measured contraction run.
+CONTRACTION_ITERS = 5000
+# The refinement sweep draws K from 2 to FW_K_MAX and accepts an objective
+# within FW_GAP_TOL_SCALE * max|q| of the oracle optimum.
+FW_K_MAX = 12
+FW_GAP_TOL_SCALE = 1e-6
 
 
 def fd_threshold(tau: float) -> float:
@@ -304,7 +310,6 @@ def contraction_sweep(
     m_max: int = 10,
     k_max: int = 6,
     seed: int = 0,
-    iters: int = 5000,
     log_domain: bool | None = None,
 ) -> tuple[ContractionRow, ...]:
     """Hilbert-ratio contraction check over a grid of temperatures."""
@@ -312,7 +317,7 @@ def contraction_sweep(
         raise ValueError("trials must be >= 1")
     _check_sizes(m_max=m_max, k_max=k_max)
     # every temperature is checked before the first trial
-    grid = [SinkhornParams(tau=tau, iters=iters, log_domain=log_domain) for tau in taus]
+    grid = [SinkhornParams(tau=tau, iters=CONTRACTION_ITERS, log_domain=log_domain) for tau in taus]
     rng = SplitMix64(seed)
     rows = []
     for params in grid:
@@ -334,25 +339,19 @@ def contraction_sweep(
     return tuple(rows)
 
 
-def frank_wolfe_sweep(
-    trials: int = 100,
-    k_max: int = 12,
-    seed: int = 0,
-    gap_tol_scale: float = 1e-6,
-) -> tuple[FrankWolfeRow, ...]:
+def frank_wolfe_sweep(trials: int = 100, seed: int = 0) -> tuple[FrankWolfeRow, ...]:
     """One-step optimality of the linear refinement objective on random inputs.
 
     For each random (q, tau_H) draw the returned point must be feasible and
-    its objective within ``gap_tol_scale * max|q|`` of the oracle optimum in
-    at most two iterations.
+    its objective within ``FW_GAP_TOL_SCALE * max|q|`` of the oracle optimum
+    in at most two iterations.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_sizes(k_max=k_max)
     rng = SplitMix64(seed)
     rows = []
     for t in range(trials):
-        k = 2 + rng.randint(k_max - 1)
+        k = 2 + rng.randint(FW_K_MAX - 1)
         q = np.array([rng.uniform(0.0, 1.0) for _ in range(k)])
         tau_H = rng.uniform(0.0, math.log(k))
         params = RefineParams(tau_H=tau_H)
@@ -363,7 +362,7 @@ def frank_wolfe_sweep(
         )
         oracle = lmo_entropy(q, params)
         gap = abs(float(q @ oracle.p) - result.objective_trace[-1])
-        tol = gap_tol_scale * max(float(np.abs(q).max()), 1e-12)
+        tol = FW_GAP_TOL_SCALE * max(float(np.abs(q).max()), 1e-12)
         passed = feasible and result.iterations <= 2 and gap <= tol
         rows.append(
             FrankWolfeRow(

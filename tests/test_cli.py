@@ -155,6 +155,22 @@ class TestRun:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_zero_k_usage_error(self, scene, tmp_path, capsys):
+        out, _ = scene
+        report_path = tmp_path / "r.json"
+        assert run_cli("run", out, "--k", 0, "--output", report_path) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_non_integer_k_usage_error(self, scene, tmp_path, capsys):
+        out, _ = scene
+        report_path = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", out, "--k", "abc", "--output", report_path)
+        assert exc.value.code == 2
+        assert "expected an integer or 'adaptive'" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_entropy_unit_bits(self, scene, tmp_path):
         out, gt_path = scene
         r_bits = tmp_path / "bits.json"

@@ -158,6 +158,25 @@ class TestBuildCost:
         got = build_cost(shuffled, cents, w).values
         assert np.array_equal(got, base[perm])
 
+    def test_zero_feature_row_uses_neutral_distance(self, scene, caplog):
+        import dataclasses
+        import logging
+
+        pset, cents = scene
+        rows = list(pset.proposals)
+        rows[2] = dataclasses.replace(rows[2], feature=np.zeros(pset.feature_dim))
+        zeroed = dataclasses.replace(pset, proposals=tuple(rows))
+        w = CostWeights(alpha=0.5, beta=2.0, gamma=0.1)
+        with caplog.at_level(logging.WARNING):
+            C = build_cost(zeroed, cents, w).values
+        assert any("zero feature vector" in r.message for r in caplog.records)
+        for j, p in enumerate(rows):
+            for k in range(C.shape[1]):
+                d_feat = feature_distance(p.feature, cents.feature_centroids[k])
+                d_spatial = spatial_distance(p.box, cents.spatial_centroids[k], pset.image_diag)
+                want = w.alpha * (1.0 - p.score) + w.beta * d_feat + w.gamma * d_spatial
+                assert C[j, k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_dimension_mismatch_raises(self, scene):
         pset, cents = scene
         import dataclasses

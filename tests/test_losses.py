@@ -217,7 +217,7 @@ class TestQualityLabels:
     def test_threshold_rule(self):
         gts = [Box(0, 0, 10, 10)]
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 5.0), Box(40, 40, 50, 50)]
-        labels = quality_labels(boxes, gts, thresh=0.5)
+        labels = quality_labels(boxes, gts)
         assert labels.tolist() == [1, 1, 0]
 
     def test_empty_ground_truth(self):

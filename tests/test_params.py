@@ -8,8 +8,10 @@ not finite and positive, a non-finite pass threshold, a KL weight that is not
 finite and nonnegative, and a size bound below 2, before any trial; the
 convergence sweeps reject a temperature that is not finite and positive
 before the first trial at any temperature.  The functions called directly
-with a temperature or a KL smoothing, the marginals and ``estimate_k`` check
-their arguments the same way.
+with a temperature, the marginals and ``estimate_k`` check their arguments
+the same way.  A simplex vector, the refinement scores and the coupling of
+the KL divergence are rejected by name when an entry is not finite, since
+``max(0.0, nan)`` would otherwise report a NaN gap or divergence as 0.0.
 """
 
 import math
@@ -20,12 +22,16 @@ import pytest
 from sinkhorn_nms import (
     AdaptiveKParams,
     PipelineConfig,
+    SimplexVector,
     SynthConfig,
     cli,
     dnms,
+    duality_gap,
     estimate_k,
+    frank_wolfe,
     hungarian_solve,
     kl_divergence,
+    lmo_entropy,
     synth_generate,
     verification,
 )
@@ -36,7 +42,6 @@ from sinkhorn_nms.sinkhorn import (
     Marginals,
     SinkhornParams,
     contraction_rate,
-    gibbs_kernel,
     grad_analytic,
 )
 
@@ -44,10 +49,6 @@ FIELDS = [
     (SinkhornParams, "tau"),
     (SinkhornParams, "tol"),
     (RefineParams, "tau_H"),
-    (RefineParams, "delta"),
-    (RefineParams, "lambda_min"),
-    (RefineParams, "lambda_max"),
-    (RefineParams, "bisect_eps"),
     (CostWeights, "alpha"),
     (CostWeights, "beta"),
     (CostWeights, "gamma"),
@@ -158,11 +159,6 @@ def test_convergence_command_rejects_bad_tau_before_any_trial(no_trials, tmp_pat
     assert not out.exists()
 
 
-def test_frank_wolfe_sweep_rejects_k_max_below_two(no_trials):
-    with pytest.raises(ValueError, match=r"^k_max must be >= 2"):
-        verification.frank_wolfe_sweep(trials=1, k_max=1)
-
-
 @pytest.mark.parametrize("a, b, name", [
     ([0.5, math.nan], [1.0], "a"),
     ([1.0], [math.nan], "b"),
@@ -176,25 +172,16 @@ def test_marginals_reject_non_finite_entries(a, b, name):
 
 BAD_POSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 UNIFORM = np.full((2, 2), 0.25)
-MATCHING = hungarian_solve(np.eye(2))
 
 
 @pytest.mark.parametrize("value", BAD_POSITIVE)
 @pytest.mark.parametrize("call", [
-    lambda tau: gibbs_kernel(np.ones((2, 2)), tau),
     lambda tau: contraction_rate(np.array([[0.0, 1.0], [1.0, 0.0]]), tau),
     lambda tau: grad_analytic(UNIFORM, tau, np.ones((2, 2))),
 ])
 def test_direct_calls_reject_bad_tau(call, value):
     with pytest.raises(ValueError, match=r"^tau must be finite and positive"):
         call(value)
-
-
-@pytest.mark.parametrize("value", BAD_POSITIVE)
-@pytest.mark.parametrize("call", [kl_divergence, kl_grad_wrt_assignment])
-def test_kl_rejects_bad_eps(call, value):
-    with pytest.raises(ValueError, match=r"^eps must be finite and positive"):
-        call(UNIFORM, MATCHING, eps=value)
 
 
 SCENE, _ = synth_generate(SynthConfig(num_regions=4, proposals_per_region=4, seed=1))
@@ -213,3 +200,31 @@ def test_estimate_k_applies_the_adaptive_k_rules(kwargs, message):
         AdaptiveKParams(**kwargs)
     with pytest.raises(ValueError, match=message):
         estimate_k(SCENE, **kwargs)
+
+
+@pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
+def test_simplex_vector_rejects_non_finite_entries(p):
+    with pytest.raises(ValueError, match=r"^simplex vector entries must be finite"):
+        SimplexVector(np.array(p))
+
+
+@pytest.mark.parametrize("q", [[math.nan, 1.0], [math.inf, 1.0], [0.5, -math.inf]])
+@pytest.mark.parametrize("call", [
+    lambda q: lmo_entropy(q, RefineParams(tau_H=0.3)),
+    lambda q: frank_wolfe(q, RefineParams(tau_H=0.3)),
+    lambda q: duality_gap(SimplexVector(np.array([0.5, 0.5])), q, RefineParams(tau_H=0.3)),
+], ids=["lmo_entropy", "frank_wolfe", "duality_gap"])
+def test_refinement_rejects_non_finite_scores(call, q):
+    with pytest.raises(ValueError, match=r"^q must be finite"):
+        call(np.array(q))
+
+
+@pytest.mark.parametrize("S", [
+    [[math.nan, 0.5], [0.5, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[math.inf, 0.0], [0.0, 0.0]],
+], ids=["nan", "zero_mass", "inf"])
+@pytest.mark.parametrize("call", [kl_divergence, kl_grad_wrt_assignment])
+def test_kl_rejects_what_is_not_a_coupling(call, S):
+    with pytest.raises(ValueError, match=r"^S must have finite entries and positive total mass"):
+        call(np.array(S), hungarian_solve(np.eye(2)))

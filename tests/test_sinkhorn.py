@@ -10,7 +10,6 @@ from sinkhorn_nms import (
     NumericalError,
     SinkhornParams,
     contraction_rate,
-    gibbs_kernel,
     grad_analytic,
     grad_unrolled,
     hilbert_distance,
@@ -30,33 +29,6 @@ W_2X2 = 0.13447071068499758
 
 def converged_params(tau, iters=5000, tol=1e-12, log_domain=None):
     return SinkhornParams(tau=tau, iters=iters, tol=tol, log_domain=log_domain)
-
-
-class TestGibbsKernel:
-    def test_zero_cost(self):
-        assert np.array_equal(gibbs_kernel(np.zeros((2, 3)), 1.0), np.ones((2, 3)))
-
-    def test_exact_log_relation(self):
-        tau = 0.7
-        C = np.array([[0.0, tau * np.log(2.0)]])
-        assert np.allclose(gibbs_kernel(C, tau), [[1.0, 0.5]])
-
-    def test_large_tau_monotone_to_one(self):
-        C = np.array([[1.0, 2.0], [3.0, 0.5]])
-        prev = gibbs_kernel(C, 1.0)
-        for tau in (2.0, 10.0, 100.0):
-            cur = gibbs_kernel(C, tau)
-            assert (cur >= prev - 1e-15).all()
-            prev = cur
-        assert np.allclose(prev, 1.0, atol=0.05)
-
-    def test_log_mode_returns_exponent(self):
-        C = np.array([[1.0, 2.0]])
-        assert np.array_equal(gibbs_kernel(C, 2.0, log=True), -C / 2.0)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            gibbs_kernel(np.zeros((1, 1)), 0.0)
 
 
 class TestSolve:
