@@ -108,8 +108,8 @@ def kl_divergence(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> float:
     Both arguments are normalized to total mass one; the indicator is
     smoothed by ``KL_SMOOTHING_EPS`` before normalization because it has zero
     entries wherever the coupling may spread mass.  Terms where the coupling
-    is zero contribute nothing.  A coupling with a non-finite entry or
-    without positive total mass is rejected.
+    is zero contribute nothing.  A coupling with a non-finite or negative
+    entry, or without positive total mass, is rejected.
     """
     Sm = coupling_values(S)
     P = Pstar.indicator
@@ -118,6 +118,8 @@ def kl_divergence(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> float:
     total = float(Sm.sum())
     if not (np.isfinite(Sm).all() and total > 0):
         raise ValueError(f"S must have finite entries and positive total mass, got sum {total!r}")
+    if Sm.min() < 0:
+        raise ValueError(f"S must have nonnegative entries, got {float(Sm.min())!r}")
     s_bar = Sm / total
     p_bar = (P + KL_SMOOTHING_EPS) / (P + KL_SMOOTHING_EPS).sum()
     with np.errstate(divide="ignore", invalid="ignore"):

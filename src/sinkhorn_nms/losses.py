@@ -21,9 +21,9 @@ from .sinkhorn import (
     Marginals,
     SinkhornParams,
     SoftAssignment,
+    _backward,
+    _iterate,
     coupling_values,
-    grad_unrolled,
-    solve,
 )
 from .cost import CostMatrix, cost_values
 
@@ -84,7 +84,12 @@ def matching_loss(
 
 
 def bce(p: float, y: int) -> float:
-    """Binary cross-entropy -y log p - (1 - y) log(1 - p), p clamped by ``BCE_EPS``."""
+    """Binary cross-entropy -y log p - (1 - y) log(1 - p), p clamped by ``BCE_EPS``.
+
+    A non-finite ``p`` is rejected; clamping would hide it.
+    """
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     p = min(1.0 - BCE_EPS, max(BCE_EPS, p))
     return float(-y * math.log(p) - (1 - y) * math.log(1.0 - p))
 
@@ -150,11 +155,12 @@ def grad_matching_wrt_cost(
     C + lambda_kl * dKL/dS.  The discrete matching is held constant.
     """
     values = cost_values(C)
-    S = solve(values, params, marg)
+    # one taped forward serves both S and the unrolled derivative
+    S, phi, tape = _iterate(values, params, marg, keep_tape=True)
     upstream = values.copy()
     if lambda_kl != 0.0:
         upstream = upstream + lambda_kl * kl_grad_wrt_assignment(S, Pstar)
-    return S.matrix + grad_unrolled(values, params, marg, upstream)
+    return S.matrix + _backward(S, phi, tape, params.tau, upstream)
 
 
 def quality_labels(boxes: Sequence[Box], gts: Sequence[Box]) -> np.ndarray:

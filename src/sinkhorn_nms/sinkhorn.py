@@ -7,22 +7,21 @@ rows to ``a`` and then columns to ``b``; the column marginal is therefore
 exact by construction after every iteration and the recorded violation trace
 measures the residual row drift.
 
-One iteration driver serves both computation modes.  It keeps the
-log-scaled dual potentials ``uh = u / tau`` and ``vh = v / tau``; each
-half-step sets one of them to the log marginal minus a row or column
-log-partition of ``-C / tau`` plus the other potential.  The mode picks only
-how that log-partition is reduced:
-
-* linear mode takes the log of a Gibbs-kernel matrix-vector product, which is
-  cheaper but underflows when every cost of a row or column exceeds about
-  700 tau (small temperatures or large cost weights), and
-* log mode takes a max-shifted log-sum-exp, which survives that.
-
-In auto mode (``log_domain=None``) a linear run whose reduction goes
-non-finite is rerun from scratch in log mode; an explicit linear request
-raises ``NumericalError`` instead.  Both modes form the coupling as
-``S = exp(uh + vh - C / tau)``, i.e.
-``S = diag(exp(u / tau)) @ exp(-C / tau) @ diag(exp(v / tau))``.
+One iteration driver serves both computation modes.  It iterates on scaling
+vectors ``u``, ``v`` of a kernel ``Kt = exp(uh + vh - C / tau)`` into which
+log duals ``uh``, ``vh`` are absorbed, so ``S = diag(u) @ Kt @ diag(v)``.  An
+iteration takes two matrix-vector products: ``r = Kt @ v`` gives the row sums
+of the previous coupling (its row violation) and ``u = a / r``, and
+``c = Kt.T @ u`` gives ``v = b / c``; S is formed once, at exit.  Linear mode
+starts from ``Kt = exp(-C / tau)``, which underflows when every cost of a row
+or column exceeds about 700 tau.  Log mode takes the first iteration with
+max-shifted log-sum-exps on the duals and starts from its coupling, which
+does not.  When ``u`` or ``v`` leaves ``[1 / ABSORB_BOUND, ABSORB_BOUND]``,
+both are absorbed (``uh += log u``, ``vh += log v``, one new exp) and restart
+at one.  A linear run whose absorbed duals are non-finite is rerun in log mode
+in auto mode (``log_domain=None``) and raises ``NumericalError`` when linear
+mode was requested.  The returned duals are ``tau (uh + log u)`` and
+``tau (vh + log v)``, and the gradient tape holds the log duals.
 
 Convergence is measured in the Hilbert projective metric, under which one
 positive-kernel scaling pass contracts distances by at most
@@ -56,6 +55,10 @@ from .cost import CostMatrix, cost_values, kappa
 # switches to log mode when a linear run underflows above it.
 LOG_DOMAIN_TAU_THRESHOLD = 0.5
 
+# An absorbed kernel is a coupling, with entries at most one, so scalings
+# inside [1 / ABSORB_BOUND, ABSORB_BOUND] keep every product far from overflow.
+ABSORB_BOUND = 1e100
+
 # Hilbert distances below this floor are dominated by the accuracy of the
 # long-run reference plan and are excluded from ratio measurements.
 _DH_FLOOR = 1e-10
@@ -63,7 +66,7 @@ _DH_FLOOR = 1e-10
 _REFERENCE_ITERS = 10_000
 _REFERENCE_TOL = 1e-14
 
-# A tolerance below any achievable violation: a run with it never stops early.
+# Below any nonzero violation: a run with it stops early only on an exact fit.
 NO_EARLY_STOP_TOL = 1e-300
 
 
@@ -175,12 +178,6 @@ def _check_dims(values: np.ndarray, marg: Marginals) -> None:
         )
 
 
-def _violation(S: np.ndarray, marg: Marginals) -> float:
-    row = float(np.abs(S.sum(axis=1) - marg.a).sum())
-    col = float(np.abs(S.sum(axis=0) - marg.b).sum())
-    return max(row, col)
-
-
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along ``axis`` of a finite matrix.
 
@@ -198,55 +195,58 @@ def _plan(phi: np.ndarray, uh: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return np.exp(uh[:, None] + vh[None, :] + phi)
 
 
-def _iterate(values, params, marg, keep_tape=False):
-    """Alternate row and column scaling on the log-scaled duals (uh, vh).
+def _iterate(C, params, marg, keep_tape=False):
+    """Alternate row and column scaling on a kernel with the duals absorbed.
 
     Returns the assignment, the log kernel ``phi = -C / tau`` and, with
-    ``keep_tape``, the per-iteration duals ``(vh_in, uh, vh)``.
+    ``keep_tape``, the per-iteration log duals ``(vh_in, uh, vh)``.
     """
+    values = cost_values(C)
+    _check_dims(values, marg)
     log_mode = params.resolve_log_domain()
     phi = -values / params.tau
-    if log_mode:
-        def row_lp(vh):
-            return _lse(phi + vh[None, :], axis=1)
-
-        def col_lp(uh):
-            return _lse(phi + uh[:, None], axis=0)
-    else:
-        Km = np.exp(phi)
-
-        def row_lp(vh):
-            return np.log(Km @ np.exp(vh))
-
-        def col_lp(uh):
-            return np.log(Km.T @ np.exp(uh))
-    log_a = np.log(marg.a)
-    log_b = np.log(marg.b)
-    uh = np.zeros(values.shape[0])
-    vh = np.zeros(values.shape[1])
+    a, b = marg.a, marg.b
+    uh, u = np.zeros(a.shape[0]), np.ones(a.shape[0])
+    vh, v = np.zeros(b.shape[0]), np.ones(b.shape[0])
+    vh_in = vh
     tape = []
     violations = []
-    for _ in range(params.iters):
-        vh_in = vh
-        # non-finite intermediates (kernel underflow) are detected explicitly
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            uh = log_a - row_lp(vh_in)
-            vh = log_b - col_lp(uh)
-        if not (log_mode or (np.isfinite(uh).all() and np.isfinite(vh).all())):
-            if params.log_domain is None:
-                return _iterate(values, replace(params, log_domain=True), marg, keep_tape)
-            raise NumericalError("numerical failure; retry with log_domain")
-        if keep_tape:
-            tape.append((vh_in, uh, vh))
-        S = _plan(phi, uh, vh)
-        violations.append(_violation(S, marg))
-        if violations[-1] < params.tol:
-            break
+    # non-finite intermediates (kernel underflow) are detected explicitly
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if log_mode:
+            uh = np.log(a) - _lse(phi + vh[None, :], axis=1)
+            vh = np.log(b) - _lse(phi + uh[:, None], axis=0)
+        Kt = _plan(phi, uh, vh)
+        r = Kt.sum(axis=1)
+        if log_mode:
+            c = Kt.sum(axis=0)
+        for it in range(params.iters):
+            if it or not log_mode:
+                u = a / r
+                c = Kt.T @ u
+                v = b / c
+                if not all(1 / ABSORB_BOUND <= x.min() and x.max() <= ABSORB_BOUND for x in (u, v)):
+                    uh = uh + np.log(u)
+                    vh = vh + np.log(v)
+                    if not (log_mode or (np.isfinite(uh).all() and np.isfinite(vh).all())):
+                        if params.log_domain is None:
+                            return _iterate(values, replace(params, log_domain=True), marg, keep_tape)
+                        raise NumericalError("numerical failure; retry with log_domain")
+                    Kt = _plan(phi, uh, vh)
+                    u, v = np.ones_like(u), np.ones_like(v)
+                    c = Kt.T @ u
+                r = Kt @ v
+            if keep_tape:
+                tape.append((vh_in, uh + np.log(u), vh + np.log(v)))
+                vh_in = tape[-1][2]
+            violations.append(max(float(np.abs(u * r - a).sum()), float(np.abs(v * c - b).sum())))
+            if violations[-1] < params.tol:
+                break
     assignment = SoftAssignment(
-        matrix=S,
+        matrix=u[:, None] * Kt * v[None, :],
         marginals=marg,
-        u=params.tau * uh,
-        v=params.tau * vh,
+        u=params.tau * (uh + np.log(u)),
+        v=params.tau * (vh + np.log(v)),
         violations=tuple(violations),
         iterations=len(violations),
         converged=violations[-1] < params.tol,
@@ -263,9 +263,7 @@ def solve(C: CostMatrix | np.ndarray, params: SinkhornParams, marg: Marginals) -
     full iteration; the column marginal is exact by construction because the
     column scaling is applied last.
     """
-    values = cost_values(C)
-    _check_dims(values, marg)
-    return _iterate(values, params, marg)[0]
+    return _iterate(C, params, marg)[0]
 
 
 def hilbert_distance(P: np.ndarray, Q: np.ndarray) -> float:
@@ -305,7 +303,6 @@ def verify_contraction(
     trivially.
     """
     values = cost_values(C)
-    _check_dims(values, marg)
     ref_params = replace(params, iters=_REFERENCE_ITERS, tol=_REFERENCE_TOL)
     reference = solve(values, ref_params, marg)
     if not reference.converged:
@@ -349,19 +346,21 @@ def grad_unrolled(
 ) -> np.ndarray:
     """Exact reverse-mode derivative of <upstream, S> with respect to the costs.
 
-    Re-runs the forward pass recording the duals of every scaling step, then
-    accumulates adjoints backward through the iterations actually executed
-    (including any early stop).  Each half-step's row or column softmax
-    weights are rebuilt from the recorded duals.
+    Re-runs the forward pass recording the log duals of every scaling step,
+    then accumulates adjoints backward through the iterations actually
+    executed (including any early stop).
     """
     values = cost_values(C)
-    _check_dims(values, marg)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != values.shape:
         raise ValueError("upstream must match the cost matrix shape")
-    S, phi, tape = _iterate(values, params, marg, keep_tape=True)
-    log_a = np.log(marg.a)
-    log_b = np.log(marg.b)
+    return _backward(*_iterate(values, params, marg, keep_tape=True), params.tau, upstream)
+
+
+def _backward(S, phi, tape, tau, upstream):
+    """Adjoint of <upstream, S> through the iterations taped by ``_iterate``."""
+    log_a = np.log(S.marginals.a)
+    log_b = np.log(S.marginals.b)
     G = upstream * S.matrix
     dphi = G.copy()
     duh = G.sum(axis=1)
@@ -377,7 +376,7 @@ def grad_unrolled(
         dvh = -Ad.sum(axis=0)
         # uh feeds only the S of the last iteration and this iteration's vh.
         duh = 0.0
-    return dphi * (-1.0 / params.tau)
+    return dphi * (-1.0 / tau)
 
 
 def grad_analytic(

@@ -12,6 +12,7 @@ from sinkhorn_nms import (
     bce,
     bce_mean,
     grad_matching_wrt_cost,
+    grad_unrolled,
     hungarian_solve,
     matching_loss,
     quality_labels,
@@ -108,6 +109,15 @@ class TestBce:
             best = np.argmin(values)
             assert best == (len(values) - 1 if y == 1 else 0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probability(self, p):
+        # clamping into [BCE_EPS, 1 - BCE_EPS] would turn NaN into a finite loss
+        for y in (0, 1):
+            with pytest.raises(ValueError, match=r"^p must be finite"):
+                bce(p, y)
+            with pytest.raises(ValueError, match=r"^p must be finite"):
+                bce_mean([0.5, p], [1, y])
+
     def test_batched_mean(self):
         got = bce_mean([0.5, 0.5], [0, 1])
         assert got == pytest.approx(math.log(2))
@@ -187,6 +197,21 @@ class TestGradMatching:
             lambda X: matching_loss(X, solve(X, params, marg), Pstar, lam), C, 1e-5
         )
         assert normalized_error(g, fd) < 1e-4
+
+    @pytest.mark.parametrize("tau,log_domain", [(1.0, None), (1.0, True), (0.1, None), (0.1, False)])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_one_taped_forward_matches_solve_then_unrolled(self, tau, log_domain, lam):
+        # the shared forward must give the bits of a separate solve followed
+        # by grad_unrolled with the same upstream
+        rng = SplitMix64(61)
+        C = random_matrix(rng, 5, 3)
+        marg = Marginals.uniform(5, 3)
+        Pstar = hungarian_solve(C)
+        params = SinkhornParams(tau=tau, iters=10, tol=1e-9, log_domain=log_domain)
+        S = solve(C, params, marg)
+        upstream = C + lam * kl_grad_wrt_assignment(S, Pstar) if lam else C
+        want = S.matrix + grad_unrolled(C, params, marg, upstream)
+        assert np.array_equal(grad_matching_wrt_cost(C, params, marg, Pstar, lam), want)
 
     def test_constant_cost_gradient_is_uniform_coupling(self):
         params = SinkhornParams(tau=1.0, iters=10, tol=1e-300)

@@ -228,3 +228,10 @@ def test_refinement_rejects_non_finite_scores(call, q):
 def test_kl_rejects_what_is_not_a_coupling(call, S):
     with pytest.raises(ValueError, match=r"^S must have finite entries and positive total mass"):
         call(np.array(S), hungarian_solve(np.eye(2)))
+
+
+@pytest.mark.parametrize("call", [kl_divergence, kl_grad_wrt_assignment])
+def test_kl_rejects_negative_entries(call):
+    # total mass 1: the negative entry alone makes this no coupling
+    with pytest.raises(ValueError, match=r"^S must have nonnegative entries, got -0\.5"):
+        call(np.array([[-0.5, 1.0], [0.5, 0.0]]), hungarian_solve(np.eye(2)))
