@@ -128,6 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--fw-max-iters", type=int, default=50)
     run.add_argument("--seed", type=int, default=0)
+    run.add_argument(
+        "--source-weights",
+        action="store_true",
+        help="write each region's dense row of proposal weights into the report "
+        "(M floats per region; at M = 2048 this doubles the run time)",
+    )
 
     grad = sub.add_parser("gradcheck", help="derivatives vs central finite differences")
     grad.add_argument("--m", type=int, default=5)
@@ -217,7 +223,7 @@ def _cmd_run(args) -> int:
     start = time.perf_counter()
     refined, diag = dnms(pset, gt, cfg)
     elapsed = time.perf_counter() - start
-    report = formats.run_report(cfg, refined, diag)
+    report = formats.run_report(cfg, refined, diag, source_weights=args.source_weights)
     formats.write_run_report(args.output, report)
     print(
         f"refined {len(pset)} proposals into {len(refined)} regions "

@@ -12,6 +12,12 @@ too, never truncated, and so is a JSON string or boolean where a number
 belongs, never coerced.  Reports are single canonical JSON documents (sorted
 keys, fixed separators, trailing newline), which makes equal runs
 byte-identical.
+
+Proposal and ground-truth files are at ``FORMAT_VERSION`` 1.  Run reports are
+at ``RUN_REPORT_VERSION`` 2: a refined record carries its dense
+``source_weights`` row (one weight per input proposal) only when asked for,
+because at M = 2048 writing those floats costs about as much as the run.
+With the rows, every refined record has the bytes of a version 1 record.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from .pipeline import PipelineConfig, PipelineDiagnostics, RefinedProposal
 from .proposals import GroundTruth, ProposalArrays, ProposalSet
 
 FORMAT_VERSION = 1
+RUN_REPORT_VERSION = 2
+# version 1 differs only in always writing source_weights and in lacking
+# two diagnostics, so both read the same way
+_RUN_REPORT_VERSIONS = (1, 2)
 PROPOSALS_FORMAT = "proposals"
 GROUND_TRUTH_FORMAT = "ground-truth"
 RUN_REPORT_FORMAT = "run-report"
@@ -232,13 +242,14 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     return GroundTruth(boxes=tuple(boxes), labels=tuple(labels))
 
 
-def _refined_to_record(r: RefinedProposal) -> dict:
+def _refined_to_record(r: RefinedProposal, source_weights: bool) -> dict:
     rec: dict[str, Any] = {
         "box": [r.box.x1, r.box.y1, r.box.x2, r.box.y2],
         "score": r.score,
         "feature": r.feature.tolist(),
-        "source_weights": r.source_weights.tolist(),
     }
+    if source_weights:
+        rec["source_weights"] = r.source_weights.tolist()
     if r.probability is not None:
         rec["probability"] = r.probability
     if r.mask is not None:
@@ -250,18 +261,20 @@ def run_report(
     cfg: PipelineConfig,
     refined: list[RefinedProposal],
     diagnostics: PipelineDiagnostics,
+    source_weights: bool = False,
 ) -> dict:
     """Deterministic report payload: config echo, outputs, diagnostics.
 
-    Wall-clock measurements deliberately stay out of the payload so that
-    identical inputs produce byte-identical reports; timing belongs on
-    stderr.
+    ``source_weights`` adds each region's dense row of proposal weights to
+    its record.  Wall-clock measurements deliberately stay out of the payload
+    so that identical inputs produce byte-identical reports; timing belongs
+    on stderr.
     """
     return {
         "format": RUN_REPORT_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": RUN_REPORT_VERSION,
         "config": asdict(cfg),
-        "refined": [_refined_to_record(r) for r in refined],
+        "refined": [_refined_to_record(r, source_weights) for r in refined],
         "diagnostics": asdict(diagnostics),
     }
 
@@ -271,4 +284,14 @@ def write_run_report(path: str | Path, report: dict) -> None:
 
 
 def read_run_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Parse a run report of version 1 or 2; any other ``format`` or
+    ``version`` raises ``ValueError`` naming the value."""
+    report = json.loads(Path(path).read_text())
+    if not isinstance(report, dict):
+        raise ValueError(f"expected a run-report object, got {type(report).__name__}")
+    fmt, version = report.get("format"), report.get("version")
+    if fmt != RUN_REPORT_FORMAT:
+        raise ValueError(f"expected format {RUN_REPORT_FORMAT!r}, got {fmt!r}")
+    if type(version) is not int or version not in _RUN_REPORT_VERSIONS:
+        raise ValueError(f"unsupported run-report version {version!r}")
+    return report

@@ -65,6 +65,9 @@ class PipelineDiagnostics:
     rate_bound: float
     marginal_violations: tuple[float, ...]
     sinkhorn_iterations: int
+    converged: bool
+    # last violation over the one before it; None with fewer than two or a 0
+    observed_rate: float | None
     log_domain: bool
     fw_iterations: int
     fw_objective: tuple[float, ...]
@@ -147,7 +150,8 @@ def dnms(
     """Differentiable suppression: cluster, assign softly, aggregate, refine.
 
     Returns K refined proposals and the run diagnostics (cost diameter, rate
-    bound, solver trace, refinement trace).  The entropy threshold is capped
+    bound, solver trace with its convergence and observed rate, refinement
+    trace).  The entropy threshold is capped
     at ln(K), the largest value feasible for a K-point simplex.
     """
     M = len(pset)
@@ -173,12 +177,15 @@ def dnms(
     refined = [
         replace(r, probability=float(fw.p.p[k])) for k, r in enumerate(refined)
     ]
+    v = S.violations
     diag = PipelineDiagnostics(
         k=K,
         kappa=kappa(C),
         rate_bound=contraction_rate(C, cfg.sinkhorn.tau),
-        marginal_violations=S.violations,
+        marginal_violations=v,
         sinkhorn_iterations=S.iterations,
+        converged=S.converged,
+        observed_rate=v[-1] / v[-2] if len(v) >= 2 and v[-2] != 0 else None,
         log_domain=S.log_domain,
         fw_iterations=fw.iterations,
         fw_objective=fw.objective_trace,

@@ -386,10 +386,27 @@ class TestReportSchema:
                        "--output", report_path) == 0
         report = json.loads(report_path.read_text())
         assert set(report) == {"format", "version", "config", "refined", "diagnostics"}
+        assert report["version"] == 2
         assert set(report["diagnostics"]) == {
             "k", "kappa", "rate_bound", "marginal_violations", "sinkhorn_iterations",
-            "log_domain", "fw_iterations", "fw_objective",
+            "converged", "observed_rate", "log_domain", "fw_iterations", "fw_objective",
         }
+        for rec in report["refined"]:
+            assert set(rec) == {"box", "score", "feature", "probability"}
+
+    def test_run_report_source_weights_flag(self, scene, tmp_path):
+        out, gt_path = scene
+        paths = tmp_path / "default.json", tmp_path / "weights.json"
+        for path, extra in zip(paths, ((), ("--source-weights",))):
+            assert run_cli("run", out, "--ground-truth", gt_path, "--k", 3,
+                           "--output", path, *extra) == 0
+        default, weights = (json.loads(p.read_text()) for p in paths)
+        for rec in weights["refined"]:
+            assert set(rec) == {"box", "score", "feature", "probability", "source_weights"}
+            assert len(rec["source_weights"]) == 15  # one per proposal
+            del rec["source_weights"]
+        # the flag is not a config field: only the rows differ
+        assert default == weights
 
     def test_gradcheck_sections(self, tmp_path):
         out = tmp_path / "g.json"

@@ -43,7 +43,7 @@ def test_concurrent_pipeline_runs_match_serial():
     def render(scene):
         pset, gt = scene
         refined, diag = dnms(pset, gt, cfg)
-        return dumps_canonical(run_report(cfg, refined, diag))
+        return dumps_canonical(run_report(cfg, refined, diag, source_weights=True))
 
     serial = [render(s) for s in scenes]
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -264,6 +264,40 @@ class TestRunReport:
         # canonical serialization is stable under re-serialization
         assert dumps_canonical(parsed) == dumps_canonical(json.loads(dumps_canonical(report)))
 
+    @pytest.mark.parametrize("seed", [29, 30, 31])
+    def test_default_report_is_opt_in_report_without_the_rows(self, seed):
+        pset, gt = synth_generate(
+            SynthConfig(num_regions=3, proposals_per_region=4, jitter=3.0,
+                        score_noise=0.1, seed=seed)
+        )
+        cfg = PipelineConfig(k=3)
+        refined, diag = dnms(pset, gt, cfg)
+        with_rows = run_report(cfg, refined, diag, source_weights=True)
+        for rec in with_rows["refined"]:
+            assert len(rec.pop("source_weights")) == len(pset)
+        assert dumps_canonical(run_report(cfg, refined, diag)) == dumps_canonical(with_rows)
+
+    def test_reads_version_1(self, tmp_path):
+        path = tmp_path / "report.json"
+        doc = {"format": "run-report", "version": 1, "config": {}, "diagnostics": {},
+               "refined": [{"score": 0.5, "source_weights": [1.0]}]}
+        path.write_text(dumps_canonical(doc))
+        assert read_run_report(path) == doc
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"format": "proposals", "version": 2}, "expected format 'run-report', got 'proposals'"),
+        ({"version": 2}, "expected format 'run-report', got None"),
+        ({"format": "run-report", "version": 3}, "unsupported run-report version 3"),
+        ({"format": "run-report", "version": True}, "unsupported run-report version True"),
+        ({"format": "run-report", "version": 2.0}, "unsupported run-report version 2.0"),
+        ([1, 2], "expected a run-report object, got list"),
+    ])
+    def test_read_rejects_other_formats_and_versions(self, tmp_path, doc, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            read_run_report(path)
+
     def test_report_has_no_timing_fields(self):
         pset, gt = synth_generate(
             SynthConfig(num_regions=2, proposals_per_region=3, jitter=2.0, seed=29)

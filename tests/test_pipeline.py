@@ -151,7 +151,9 @@ class TestDnms:
         cfg = PipelineConfig(k=3)
         r1, d1 = dnms(pset, gt, cfg)
         r2, d2 = dnms(pset, gt, cfg)
-        assert run_report(cfg, r1, d1) == run_report(cfg, r2, d2)
+        assert run_report(cfg, r1, d1, source_weights=True) == run_report(
+            cfg, r2, d2, source_weights=True
+        )
 
     def test_output_count_equals_k(self):
         pset, gt = synth_generate(
@@ -206,6 +208,27 @@ class TestDnms:
         assert 0.0 <= diag.rate_bound < 1.0
         assert len(diag.marginal_violations) == diag.sinkhorn_iterations
         assert diag.fw_iterations >= 1
+
+    def test_converged_in_one_iteration_has_no_observed_rate(self):
+        pset, gt = synth_generate(
+            SynthConfig(num_regions=2, proposals_per_region=3, jitter=2.0, seed=15)
+        )
+        _, diag = dnms(pset, gt, PipelineConfig(k=2))
+        assert diag.converged and diag.sinkhorn_iterations == 1
+        assert diag.observed_rate is None
+
+    def test_budget_stop_reports_unconverged_and_observed_rate(self):
+        pset, gt = synth_generate(
+            SynthConfig(num_regions=8, proposals_per_region=16, jitter=4.0,
+                        score_noise=0.05, seed=3)
+        )
+        cfg = PipelineConfig(sinkhorn=SinkhornParams(iters=4), k=8)
+        _, diag = dnms(pset, gt, cfg)
+        v = diag.marginal_violations
+        assert diag.sinkhorn_iterations == 4 and v[-1] >= cfg.sinkhorn.tol
+        assert diag.converged is False
+        assert diag.observed_rate == v[-1] / v[-2]
+        assert 0.0 < diag.observed_rate < 1.0
 
     def test_low_temperature_matches_hungarian_selection(self):
         # square scenario with one proposal per region: the soft argmax per
