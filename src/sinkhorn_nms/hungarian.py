@@ -12,6 +12,18 @@ row view of a block: a probe makes no copy of its own, and scipy needs no
 C-order copy of it.  A forced pair counts as optimal when it is within the
 rounding error of an n-term sum of the optimum, so it can neither reject a
 true optimum nor admit a pair that is measurably worse.
+
+Most probes need no LAP solve.  Within a slot the free columns are fixed,
+and moving down to a later row only removes rows from the completion
+sub-problem (rows below the candidate, free columns but its own), so the
+exact completion cost for a column never goes down from row to row.  Each
+column therefore keeps the last completion cost computed for it as a
+bound, and a probe is skipped when the fixed cost, its entry and that
+bound already exceed the optimum by two tolerances: one for the probe's
+own test, one for the rounding of the two n-term sums.  Float addition is
+monotone, so a skipped probe is one that would have failed; the probes
+that do run, their LAP inputs, the pairs and the cost bits are those of
+the loop without the bound.
 """
 
 from __future__ import annotations
@@ -78,13 +90,19 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
         # then a row view of it.
         others = [cols[:i] + cols[i + 1 :] for i in range(len(cols))]
         blocks = [values[start:].take(c, axis=1) for c in others] if need else []
+        # The last completion cost computed for each free column: a later
+        # row's completion has fewer rows to choose from, so it is no lower.
+        bound = [-np.inf] * len(cols)
         # Rows skipped here stay unmatched, which is only affordable when
         # enough rows remain below the candidate to complete the matching.
         for j in range(start, M - need):
             row = rows[j]
             for i, k in enumerate(cols):
-                rest = _lap_cost(blocks[i][j + 1 - start :]) if need else 0.0
-                if fixed_cost + row[k] + rest <= optimum + tol:
+                head = fixed_cost + row[k]
+                if head + bound[i] > optimum + 2 * tol:
+                    continue  # fails the test below whatever its LAP returns
+                rest = bound[i] = _lap_cost(blocks[i][j + 1 - start :]) if need else 0.0
+                if head + rest <= optimum + tol:
                     break
             else:
                 continue

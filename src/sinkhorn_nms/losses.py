@@ -44,9 +44,22 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_kl", "lambda1", "lambda2"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
+            _check_weight(name, getattr(self, name))
+
+
+def _check_weight(name: str, val: float) -> None:
+    if not math.isfinite(val) or val < 0:
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def _check_matching(values: np.ndarray, Pstar: Assignment, lambda_kl: float) -> None:
+    # Checked even when lambda_kl is 0 and the matching goes unused: a
+    # matching of another scene is a caller error either way.
+    _check_weight("lambda_kl", lambda_kl)
+    if Pstar.indicator.shape != values.shape:
+        raise ValueError(
+            f"matching shape {Pstar.indicator.shape} does not match cost shape {values.shape}"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,13 @@ def matching_loss(
     Pstar: Assignment,
     lambda_kl: float,
 ) -> float:
-    """Frobenius inner product <C, S> plus ``lambda_kl`` times the smoothed KL."""
+    """Frobenius inner product <C, S> plus ``lambda_kl`` times the smoothed KL.
+
+    ``lambda_kl`` must be finite and nonnegative, and ``Pstar`` must be a
+    matching of C's shape.
+    """
     values = cost_values(C)
+    _check_matching(values, Pstar, lambda_kl)
     Sm = coupling_values(S)
     if values.shape != Sm.shape:
         raise ValueError(f"shape mismatch: {values.shape} vs {Sm.shape}")
@@ -153,8 +171,10 @@ def grad_matching_wrt_cost(
     The explicit <C, S> term contributes S itself; the dependence of S on C
     flows through the unrolled solver derivative with upstream
     C + lambda_kl * dKL/dS.  The discrete matching is held constant.
+    ``lambda_kl`` and ``Pstar`` are checked as in ``matching_loss``.
     """
     values = cost_values(C)
+    _check_matching(values, Pstar, lambda_kl)
     # one taped forward serves both S and the unrolled derivative
     S, phi, tape = _iterate(values, params, marg, keep_tape=True)
     upstream = values.copy()

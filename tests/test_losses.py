@@ -87,6 +87,33 @@ class TestMatchingLoss:
         assert gaps[-1] < gaps[0] / 10.0
 
 
+class TestMatchingArguments:
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    PARAMS = SinkhornParams(tau=1.0, iters=5, tol=1e-300)
+
+    def call_both(self, Pstar, lambda_kl):
+        S = np.full((2, 2), 0.25)
+        yield lambda: matching_loss(self.C, S, Pstar, lambda_kl)
+        yield lambda: grad_matching_wrt_cost(
+            self.C, self.PARAMS, Marginals.uniform(2, 2), Pstar, lambda_kl
+        )
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_rejects_non_finite_or_negative_lambda_kl(self, lam):
+        # unchecked, NaN would give a NaN loss and gradient and -1 would subtract the KL
+        for call in self.call_both(hungarian_solve(self.C), lam):
+            with pytest.raises(ValueError, match=r"^lambda_kl must be finite and nonnegative$"):
+                call()
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_rejects_matching_of_another_shape(self, lam):
+        # checked even at lambda_kl = 0, where the matching is otherwise unused
+        Pstar = hungarian_solve(np.eye(3))
+        for call in self.call_both(Pstar, lam):
+            with pytest.raises(ValueError, match=r"^matching shape \(3, 3\) does not match"):
+                call()
+
+
 class TestBce:
     def test_confident_correct(self):
         assert bce(1.0 - 1e-7, 1) == pytest.approx(0.0, abs=1e-6)
