@@ -54,10 +54,6 @@ def _parse_k(text: str) -> int | None:
     return value
 
 
-def _parse_log_domain(text: str) -> bool | None:
-    return {"auto": None, "on": True, "off": False}[text]
-
-
 def _parse_taus(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in text.split(","))
@@ -100,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau", type=float, default=0.1)
     run.add_argument("--iters", type=int, default=10)
     run.add_argument("--tol", type=float, default=1e-9)
-    run.add_argument(
-        "--log-domain",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="kernel scaling in log space "
-        "(auto: on for tau < 0.5 or when the linear kernel underflows)",
-    )
     run.add_argument("--alpha", type=float, default=1.0)
     run.add_argument("--beta", type=float, default=1.0)
     run.add_argument("--gamma", type=float, default=1.0)
@@ -126,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="nats",
         help="unit of --entropy-threshold",
     )
-    run.add_argument("--fw-max-iters", type=int, default=50)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--source-weights",
@@ -158,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--m-max", type=int, default=10)
     conv.add_argument("--k-max", type=int, default=6)
     conv.add_argument("--seed", type=int, default=0)
-    conv.add_argument("--log-domain", choices=("auto", "on", "off"), default="auto")
     conv.add_argument("--output", type=Path, default=None)
 
     bench = sub.add_parser("bench", help="wall-clock comparison on synthetic scenes")
@@ -209,14 +196,9 @@ def _cmd_run(args) -> int:
     gt = formats.read_ground_truth(args.ground_truth) if args.ground_truth else None
     tau_h = args.entropy_threshold * (math.log(2.0) if args.entropy_unit == "bits" else 1.0)
     cfg = PipelineConfig(
-        sinkhorn=SinkhornParams(
-            tau=args.tau,
-            iters=args.iters,
-            tol=args.tol,
-            log_domain=_parse_log_domain(args.log_domain),
-        ),
+        sinkhorn=SinkhornParams(tau=args.tau, iters=args.iters, tol=args.tol),
         weights=CostWeights(alpha=args.alpha, beta=args.beta, gamma=args.gamma),
-        refine=RefineParams(tau_H=tau_h, t_max=args.fw_max_iters),
+        refine=RefineParams(tau_H=tau_h),
         k=args.k,
         seed=args.seed,
     )
@@ -293,7 +275,6 @@ def _cmd_convergence(args) -> int:
         m_max=args.m_max,
         k_max=args.k_max,
         seed=args.seed,
-        log_domain=_parse_log_domain(args.log_domain),
     )
     report = {
         "format": "convergence-report",

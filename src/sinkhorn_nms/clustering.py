@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import greedy_nms
 from .geometry import box_centers
-from .proposals import ProposalSet
+from .proposals import ProposalSet, require_int
 from .rng import SplitMix64
 
 DEFAULT_IOU_THRESH = 0.5
@@ -57,7 +57,7 @@ class AdaptiveKParams:
             raise ValueError(f"score_floor must be finite, got {self.score_floor!r}")
         if not 0.0 < self.iou_thresh < 1.0:  # NaN fails this too
             raise ValueError("iou_thresh must lie strictly between 0 and 1")
-        if self.k_max < 1:
+        if require_int("k_max", self.k_max) < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
 

@@ -120,14 +120,11 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
     return Assignment(pairs=tuple(pairs), total_cost=fixed_cost, indicator=indicator)
 
 
-def kl_divergence(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> float:
-    """KL divergence between the normalized coupling and the smoothed matching.
+def _smoothed_kl(S: SoftAssignment | np.ndarray, Pstar: Assignment):
+    """The divergence and its parts: ``(kl, total, s_bar, p_bar)``.
 
-    Both arguments are normalized to total mass one; the indicator is
-    smoothed by ``KL_SMOOTHING_EPS`` before normalization because it has zero
-    entries wherever the coupling may spread mass.  Terms where the coupling
-    is zero contribute nothing.  A coupling with a non-finite or negative
-    entry, or without positive total mass, is rejected.
+    ``total`` is the coupling's mass, ``s_bar`` the coupling over it and
+    ``p_bar`` the smoothed matching over its own mass.
     """
     Sm = coupling_values(S)
     P = Pstar.indicator
@@ -142,4 +139,16 @@ def kl_divergence(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> float:
     p_bar = (P + KL_SMOOTHING_EPS) / (P + KL_SMOOTHING_EPS).sum()
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = xlogy(s_bar, np.where(s_bar > 0, s_bar / p_bar, 1.0))
-    return max(0.0, float(terms.sum()))
+    return max(0.0, float(terms.sum())), total, s_bar, p_bar
+
+
+def kl_divergence(S: SoftAssignment | np.ndarray, Pstar: Assignment) -> float:
+    """KL divergence between the normalized coupling and the smoothed matching.
+
+    Both arguments are normalized to total mass one; the indicator is
+    smoothed by ``KL_SMOOTHING_EPS`` before normalization because it has zero
+    entries wherever the coupling may spread mass.  Terms where the coupling
+    is zero contribute nothing.  A coupling with a non-finite or negative
+    entry, or without positive total mass, is rejected.
+    """
+    return _smoothed_kl(S, Pstar)[0]

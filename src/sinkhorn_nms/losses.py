@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Box, Mask, box_array, quality_scores, total_variation
-from .hungarian import KL_SMOOTHING_EPS, Assignment, kl_divergence
+from .hungarian import Assignment, _smoothed_kl, kl_divergence
 from .sinkhorn import (
     Marginals,
     SinkhornParams,
@@ -148,12 +148,7 @@ def kl_grad_wrt_assignment(S: SoftAssignment | np.ndarray, Pstar: Assignment) ->
     With s_bar = S / T, T = sum(S):
     d KL / d S[a, b] = (log(s_bar[a, b] / p_bar[a, b]) - KL) / T.
     """
-    Sm = coupling_values(S)
-    kl = kl_divergence(Sm, Pstar)  # rejects a coupling that is not one
-    total = float(Sm.sum())
-    s_bar = Sm / total
-    P = Pstar.indicator
-    p_bar = (P + KL_SMOOTHING_EPS) / (P + KL_SMOOTHING_EPS).sum()
+    kl, total, s_bar, p_bar = _smoothed_kl(S, Pstar)  # rejects a coupling that is not one
     with np.errstate(divide="ignore"):
         log_ratio = np.log(s_bar) - np.log(p_bar)
     return (log_ratio - kl) / total

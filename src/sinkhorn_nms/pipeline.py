@@ -21,7 +21,7 @@ from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
 from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
 from .cost import CostWeights, build_cost, kappa
 from .geometry import Box, Mask, box_array, quality_scores
-from .proposals import GroundTruth, ProposalSet
+from .proposals import GroundTruth, ProposalSet, require_int
 from .refine import RefineParams, frank_wolfe
 from .sinkhorn import (
     Marginals,
@@ -158,7 +158,7 @@ def dnms(
     if M == 0:
         raise ValueError("no proposals")
     if cfg.k is not None:
-        if cfg.k < 1:
+        if require_int("k", cfg.k) < 1:
             raise ValueError("k must be >= 1")
         K = min(cfg.k, M)
     else:

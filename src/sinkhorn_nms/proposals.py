@@ -41,6 +41,14 @@ _PROTO_COS_MAX = 0.9
 _PROTO_MAX_TRIES = 1000
 
 
+def require_int(name: str, value) -> int:
+    """``value`` as an int; a float (2.0 and NaN too) is rejected by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Proposal:
     """One detection candidate: score, box, feature vector, optional mask."""

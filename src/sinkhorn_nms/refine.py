@@ -5,9 +5,9 @@ simplex intersected with the entropy superlevel set {H(p) >= tau_H}.  The
 linear maximization oracle has the closed form softmax(q / lambda); the
 multiplier lambda is found by bisection so that the entropy constraint is
 met, and the conditional-gradient loop with exact line search reaches the
-optimum of the linear objective in at most two iterations.  Only ``tau_H``
-and the iteration budget ``t_max`` are settable; the bisection and stopping
-numerics are module constants.
+optimum of the linear objective in at most two iterations, so it runs at
+most two.  Only ``tau_H`` is settable; the bisection and stopping numerics
+are module constants.
 
 Entropy is measured in nats throughout.
 """
@@ -58,15 +58,12 @@ class SimplexVector:
 @dataclass(frozen=True)
 class RefineParams:
     tau_H: float = 0.6
-    t_max: int = 50
 
     def __post_init__(self):
         if not math.isfinite(self.tau_H):
             raise ValueError(f"tau_H must be finite, got {self.tau_H!r}")
         if self.tau_H < 0:
             raise ValueError("tau_H must be nonnegative")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +147,8 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
 
     Starts from the uniform distribution, moves toward the oracle point with
     exact line search, and stops when the objective change falls below
-    ``DELTA`` or after ``t_max`` iterations.  The returned point is feasible:
-    it sums to one and its entropy is at least ``tau_H``.
+    ``DELTA``, which it does by the second iteration.  The returned point is
+    feasible: it sums to one and its entropy is at least ``tau_H``.
     """
     q = np.asarray(q, dtype=np.float64)
     K = q.shape[0]
@@ -159,7 +156,10 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
     f_prev = float(q @ p)
     trace = [f_prev]
     iterations = 0
-    for _ in range(params.t_max):
+    # The oracle point is the same on every iteration.  The first sets p to
+    # 0.0 * p + 1.0 * s.p, which is s.p bit for bit, or keeps p; either way
+    # the second finds no improvement, takes gamma = 0 and changes nothing.
+    for _ in range(2):
         s = lmo_entropy(q, params)
         gamma = line_search(SimplexVector(p), s, q)
         p = (1.0 - gamma) * p + gamma * s.p

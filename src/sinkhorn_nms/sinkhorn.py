@@ -18,9 +18,11 @@ or column exceeds about 700 tau.  Log mode takes the first iteration with
 max-shifted log-sum-exps on the duals and starts from its coupling, which
 does not.  When ``u`` or ``v`` leaves ``[1 / ABSORB_BOUND, ABSORB_BOUND]``,
 both are absorbed (``uh += log u``, ``vh += log v``, one new exp) and restart
-at one.  A linear run whose absorbed duals are non-finite is rerun in log mode
-in auto mode (``log_domain=None``) and raises ``NumericalError`` when linear
-mode was requested.  The returned duals are ``tau (uh + log u)`` and
+at one.  The solver picks the mode itself: log mode below
+``LOG_DOMAIN_TAU_THRESHOLD``, linear mode otherwise, and a linear run whose
+absorbed duals are non-finite is rerun in log mode.  A coupling with a
+non-finite entry, which only an overflow of ``C / tau`` produces, raises
+``NumericalError``.  The returned duals are ``tau (uh + log u)`` and
 ``tau (vh + log v)``, and the gradient tape holds the log duals.
 
 Convergence is measured in the Hilbert projective metric, under which one
@@ -49,10 +51,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import CostMatrix, cost_values, kappa
+from .proposals import require_int
 
-# Log-domain computation is the default below this temperature; the linear
-# kernel exp(-C / tau) underflows for moderate costs there.  Auto mode also
-# switches to log mode when a linear run underflows above it.
+# Log-domain computation is used below this temperature; the linear kernel
+# exp(-C / tau) underflows for moderate costs there.  Above it a linear run
+# that underflows is rerun in log mode.
 LOG_DOMAIN_TAU_THRESHOLD = 0.5
 
 # An absorbed kernel is a coupling, with entries at most one, so scalings
@@ -88,7 +91,6 @@ class SinkhornParams:
     tau: float = 0.1
     iters: int = 10
     tol: float = 1e-9
-    log_domain: bool | None = None  # None: log mode for tau < 0.5 or on underflow
 
     def __post_init__(self):
         for name in ("tau", "tol"):
@@ -96,15 +98,10 @@ class SinkhornParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
-        if self.iters < 1:
+        if require_int("iters", self.iters) < 1:
             raise ValueError("iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-    def resolve_log_domain(self) -> bool:
-        if self.log_domain is None:
-            return self.tau < LOG_DOMAIN_TAU_THRESHOLD
-        return self.log_domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +135,8 @@ class Marginals:
 class SoftAssignment:
     """Soft coupling with duals and the per-iteration marginal-violation trace.
 
-    ``log_domain`` records the mode that produced the result, which differs
-    from the requested one after an auto-mode fallback.
+    ``log_domain`` records the mode that produced the result: log mode below
+    ``LOG_DOMAIN_TAU_THRESHOLD``, and above it after a linear run underflowed.
     """
 
     matrix: np.ndarray
@@ -195,24 +192,27 @@ def _plan(phi: np.ndarray, uh: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return np.exp(uh[:, None] + vh[None, :] + phi)
 
 
-def _iterate(C, params, marg, keep_tape=False):
+def _iterate(C, params, marg, keep_tape=False, log_mode=None):
     """Alternate row and column scaling on a kernel with the duals absorbed.
 
     Returns the assignment, the log kernel ``phi = -C / tau`` and, with
     ``keep_tape``, the per-iteration log duals ``(vh_in, uh, vh)``.
+    ``log_mode=None`` picks the mode from ``tau``; a linear run that
+    underflows is rerun with ``log_mode=True``.
     """
     values = cost_values(C)
     _check_dims(values, marg)
-    log_mode = params.resolve_log_domain()
-    phi = -values / params.tau
+    if log_mode is None:
+        log_mode = params.tau < LOG_DOMAIN_TAU_THRESHOLD
     a, b = marg.a, marg.b
     uh, u = np.zeros(a.shape[0]), np.ones(a.shape[0])
     vh, v = np.zeros(b.shape[0]), np.ones(b.shape[0])
     vh_in = vh
     tape = []
     violations = []
-    # non-finite intermediates (kernel underflow) are detected explicitly
+    # non-finite intermediates (kernel underflow, C / tau overflow) are checked
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = -values / params.tau
         if log_mode:
             uh = np.log(a) - _lse(phi + vh[None, :], axis=1)
             vh = np.log(b) - _lse(phi + uh[:, None], axis=0)
@@ -229,9 +229,7 @@ def _iterate(C, params, marg, keep_tape=False):
                     uh = uh + np.log(u)
                     vh = vh + np.log(v)
                     if not (log_mode or (np.isfinite(uh).all() and np.isfinite(vh).all())):
-                        if params.log_domain is None:
-                            return _iterate(values, replace(params, log_domain=True), marg, keep_tape)
-                        raise NumericalError("numerical failure; retry with log_domain")
+                        return _iterate(values, params, marg, keep_tape, log_mode=True)
                     Kt = _plan(phi, uh, vh)
                     u, v = np.ones_like(u), np.ones_like(v)
                     c = Kt.T @ u
@@ -242,8 +240,11 @@ def _iterate(C, params, marg, keep_tape=False):
             violations.append(max(float(np.abs(u * r - a).sum()), float(np.abs(v * c - b).sum())))
             if violations[-1] < params.tol:
                 break
+        matrix = u[:, None] * Kt * v[None, :]
+    if not np.isfinite(matrix).all():
+        raise NumericalError(f"C / tau overflows at tau = {params.tau!r}: the coupling is not finite")
     assignment = SoftAssignment(
-        matrix=u[:, None] * Kt * v[None, :],
+        matrix=matrix,
         marginals=marg,
         u=params.tau * (uh + np.log(u)),
         v=params.tau * (vh + np.log(v)),
@@ -276,8 +277,9 @@ def hilbert_distance(P: np.ndarray, Q: np.ndarray) -> float:
     Q = np.asarray(Q, dtype=np.float64)
     if P.shape != Q.shape:
         raise ValueError(f"shape mismatch: {P.shape} vs {Q.shape}")
-    if (P <= 0).any() or (Q <= 0).any():
-        raise ValueError("hilbert_distance requires strictly positive entries")
+    # NaN fails ``> 0`` but would pass ``<= 0``
+    if not all(np.isfinite(X).all() and (X > 0).all() for X in (P, Q)):
+        raise ValueError("hilbert_distance requires finite, strictly positive entries")
     L = np.log(P) - np.log(Q)
     return float(L.max() - L.min())
 

@@ -310,14 +310,13 @@ def contraction_sweep(
     m_max: int = 10,
     k_max: int = 6,
     seed: int = 0,
-    log_domain: bool | None = None,
 ) -> tuple[ContractionRow, ...]:
     """Hilbert-ratio contraction check over a grid of temperatures."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_sizes(m_max=m_max, k_max=k_max)
     # every temperature is checked before the first trial
-    grid = [SinkhornParams(tau=tau, iters=CONTRACTION_ITERS, log_domain=log_domain) for tau in taus]
+    grid = [SinkhornParams(tau=tau, iters=CONTRACTION_ITERS) for tau in taus]
     rng = SplitMix64(seed)
     rows = []
     for params in grid:
@@ -383,11 +382,8 @@ def convergence_sweep(
     m_max: int = 10,
     k_max: int = 6,
     seed: int = 0,
-    log_domain: bool | None = None,
 ) -> ConvergenceSweepReport:
-    contraction = contraction_sweep(
-        taus=taus, trials=trials, m_max=m_max, k_max=k_max, seed=seed, log_domain=log_domain
-    )
+    contraction = contraction_sweep(taus=taus, trials=trials, m_max=m_max, k_max=k_max, seed=seed)
     fw = frank_wolfe_sweep(trials=max(trials, 20), seed=seed + 1)
     passed = all(r.passed for r in contraction) and all(r.passed for r in fw)
     return ConvergenceSweepReport(contraction=contraction, frank_wolfe=fw, passed=passed)

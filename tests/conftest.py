@@ -2,6 +2,23 @@ import numpy as np
 import pytest
 
 from sinkhorn_nms import Box, Proposal, ProposalSet
+from sinkhorn_nms.sinkhorn import _backward, _iterate
+
+
+def solve_in_mode(C, params, marg, log_mode):
+    """``solve`` started in the given mode: True log, False linear.
+
+    The library picks the mode from ``tau``; tests that compare the two modes
+    at one temperature force it through the private driver.  A linear start
+    still reruns in log mode when its kernel underflows.
+    """
+    return _iterate(C, params, marg, log_mode=log_mode)[0]
+
+
+def grad_in_mode(C, params, marg, upstream, log_mode):
+    """``grad_unrolled`` started in the given mode, as in ``solve_in_mode``."""
+    taped = _iterate(C, params, marg, keep_tape=True, log_mode=log_mode)
+    return _backward(*taped, params.tau, np.asarray(upstream, dtype=np.float64))
 
 
 @pytest.fixture

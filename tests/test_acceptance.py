@@ -39,6 +39,7 @@ from sinkhorn_nms import (
 from sinkhorn_nms.cli import main as cli_main
 from sinkhorn_nms.rng import SplitMix64
 from sinkhorn_nms.verification import central_difference, normalized_error, random_matrix
+from conftest import grad_in_mode, solve_in_mode
 
 
 @contextmanager
@@ -62,9 +63,9 @@ def test_criterion_1_marginal_feasibility():
             marg = Marginals.uniform(m, k)
             for tau in (0.1, 0.5, 1.0):
                 params = SinkhornParams(tau=tau, iters=100_000, tol=1e-9)
-                if tau == 0.1:
-                    assert params.resolve_log_domain()
                 S = solve(C, params, marg)
+                if tau == 0.1:
+                    assert S.log_domain
                 assert S.converged
                 assert np.abs(S.matrix.sum(axis=1) - marg.a).sum() <= 1e-9
                 assert np.abs(S.matrix.sum(axis=0) - marg.b).sum() <= 1e-9
@@ -103,14 +104,16 @@ def test_criterion_3_gradient_correctness():
             k = 2 + rng.randint(3)
             tau = taus[trial % 3]
             iters = iters_grid[(trial // 3) % 3]
-            params = SinkhornParams(tau=tau, iters=iters, tol=1e-300,
-                                    log_domain=bool(trial % 2))
+            params = SinkhornParams(tau=tau, iters=iters, tol=1e-300)
+            log_mode = bool(trial % 2)
             C = random_matrix(rng, m, k)
             U = random_matrix(rng, m, k, -1.0, 1.0)
             marg = Marginals.uniform(m, k)
-            grad = grad_unrolled(C, params, marg, U)
+            grad = grad_in_mode(C, params, marg, U, log_mode)
             fd = central_difference(
-                lambda X: float((U * solve(X, params, marg).matrix).sum()), C, 1e-5
+                lambda X: float((U * solve_in_mode(X, params, marg, log_mode).matrix).sum()),
+                C,
+                1e-5,
             )
             assert normalized_error(grad, fd) < 1e-4
         for trial in range(25):

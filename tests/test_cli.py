@@ -185,12 +185,15 @@ class TestRun:
         nats = json.loads(r_nats.read_text())
         assert bits["refined"] == nats["refined"]
 
-    def test_forced_linear_mode_numerical_failure(self, scene, tmp_path, capsys):
+    def test_overflow_of_cost_over_tau_numerical_error(self, scene, tmp_path, capsys):
+        # alpha 1e300 at tau 1e-10 overflows -C / tau: no coupling, no report
         out, _ = scene
-        code = run_cli("run", out, "--tau", 1e-5, "--log-domain", "off", "--k", 3,
-                       "--output", tmp_path / "r.json")
+        report_path = tmp_path / "r.json"
+        code = run_cli("run", out, "--tau", 1e-10, "--alpha", 1e300, "--k", 3,
+                       "--output", report_path)
         assert code == 3
-        assert "log_domain" in capsys.readouterr().err
+        assert "numerical error: C / tau overflows" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_auto_mode_falls_back_to_log_on_underflow(self, tmp_path):
         # tau = 0.5 starts linear; alpha = 2000 underflows the linear kernel
@@ -317,12 +320,6 @@ class TestConvergence:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not report_path.exists()
-
-    def test_forced_linear_tiny_tau_numerical_error(self, tmp_path, capsys):
-        code = run_cli("convergence", "--taus", "0.001", "--trials", 1,
-                       "--log-domain", "off")
-        assert code == 3
-        assert "log_domain" in capsys.readouterr().err
 
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

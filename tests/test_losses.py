@@ -1,7 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sinkhorn_nms import (
     Box,
@@ -14,15 +18,20 @@ from sinkhorn_nms import (
     grad_matching_wrt_cost,
     grad_unrolled,
     hungarian_solve,
+    kl_divergence,
+    losses,
     matching_loss,
     quality_labels,
     solve,
     total_loss,
     tv_loss,
 )
+from sinkhorn_nms.hungarian import KL_SMOOTHING_EPS
 from sinkhorn_nms.losses import kl_grad_wrt_assignment
 from sinkhorn_nms.rng import SplitMix64
+from sinkhorn_nms.sinkhorn import coupling_values
 from sinkhorn_nms.verification import central_difference, normalized_error, random_matrix
+from conftest import grad_in_mode, solve_in_mode
 
 HUNGARIAN_FIXTURE = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
 
@@ -225,19 +234,20 @@ class TestGradMatching:
         )
         assert normalized_error(g, fd) < 1e-4
 
-    @pytest.mark.parametrize("tau,log_domain", [(1.0, None), (1.0, True), (0.1, None), (0.1, False)])
+    @pytest.mark.parametrize("tau,log_mode", [(1.0, None), (1.0, True), (0.1, None), (0.1, False)])
     @pytest.mark.parametrize("lam", [0.0, 0.7])
-    def test_one_taped_forward_matches_solve_then_unrolled(self, tau, log_domain, lam):
+    def test_one_taped_forward_matches_solve_then_unrolled(self, tau, log_mode, lam, monkeypatch):
         # the shared forward must give the bits of a separate solve followed
-        # by grad_unrolled with the same upstream
+        # by grad_unrolled with the same upstream, in either mode
+        monkeypatch.setattr(losses, "_iterate", functools.partial(losses._iterate, log_mode=log_mode))
         rng = SplitMix64(61)
         C = random_matrix(rng, 5, 3)
         marg = Marginals.uniform(5, 3)
         Pstar = hungarian_solve(C)
-        params = SinkhornParams(tau=tau, iters=10, tol=1e-9, log_domain=log_domain)
-        S = solve(C, params, marg)
+        params = SinkhornParams(tau=tau, iters=10, tol=1e-9)
+        S = solve_in_mode(C, params, marg, log_mode)
         upstream = C + lam * kl_grad_wrt_assignment(S, Pstar) if lam else C
-        want = S.matrix + grad_unrolled(C, params, marg, upstream)
+        want = S.matrix + grad_in_mode(C, params, marg, upstream, log_mode)
         assert np.array_equal(grad_matching_wrt_cost(C, params, marg, Pstar, lam), want)
 
     def test_constant_cost_gradient_is_uniform_coupling(self):
@@ -258,11 +268,29 @@ class TestGradMatching:
         rng = SplitMix64(59)
         S = random_matrix(rng, 3, 3, 0.05, 1.0)
         Pstar = hungarian_solve(random_matrix(rng, 3, 3))
-        from sinkhorn_nms import kl_divergence
-
         g = kl_grad_wrt_assignment(S, Pstar)
         fd = central_difference(lambda X: kl_divergence(X, Pstar), S, 1e-6)
         assert normalized_error(g, fd) < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kl_grad_equals_the_inline_formula(self, data):
+        # Oracle: the gradient as it was computed before the normalized pair
+        # moved into ``hungarian``, with its own copy of every step.
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        S = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1e6)))
+        C = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+        assume(S.sum() > 0)
+        Pstar = hungarian_solve(C)
+        Sm = coupling_values(S)
+        kl = kl_divergence(Sm, Pstar)
+        total = float(Sm.sum())
+        s_bar = Sm / total
+        P = Pstar.indicator
+        p_bar = (P + KL_SMOOTHING_EPS) / (P + KL_SMOOTHING_EPS).sum()
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(s_bar) - np.log(p_bar)
+        assert np.array_equal(kl_grad_wrt_assignment(S, Pstar), (log_ratio - kl) / total)
 
 
 class TestQualityLabels:

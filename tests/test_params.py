@@ -12,6 +12,10 @@ with a temperature, the marginals and ``estimate_k`` check their arguments
 the same way.  A simplex vector, the refinement scores and the coupling of
 the KL divergence are rejected by name when an entry is not finite, since
 ``max(0.0, nan)`` would otherwise report a NaN gap or divergence as 0.0.
+The Hilbert distance rejects a non-finite entry, which would make it NaN.
+Integer parameters (the scaling budget, the region count and its adaptive
+bound) reject a float, NaN included, by name: ``2.5 < 1`` is false, so an
+ordering check alone would let it through to ``range`` or k-means.
 """
 
 import math
@@ -43,6 +47,7 @@ from sinkhorn_nms.sinkhorn import (
     SinkhornParams,
     contraction_rate,
     grad_analytic,
+    hilbert_distance,
 )
 
 FIELDS = [
@@ -235,3 +240,31 @@ def test_kl_rejects_negative_entries(call):
     # total mass 1: the negative entry alone makes this no coupling
     with pytest.raises(ValueError, match=r"^S must have nonnegative entries, got -0\.5"):
         call(np.array([[-0.5, 1.0], [0.5, 0.0]]), hungarian_solve(np.eye(2)))
+
+
+@pytest.mark.parametrize("P, Q", [
+    ([[1.0, math.nan]], [[1.0, 2.0]]),
+    ([[1.0, 2.0]], [[math.nan, 2.0]]),
+    ([[1.0, math.inf]], [[1.0, 2.0]]),
+])
+def test_hilbert_distance_rejects_non_finite_entries(P, Q):
+    with pytest.raises(ValueError, match=r"^hilbert_distance requires finite, strictly positive"):
+        hilbert_distance(np.array(P), np.array(Q))
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "3"])
+def test_integer_parameters_reject_non_integers(value):
+    with pytest.raises(ValueError, match=r"^iters must be an integer"):
+        SinkhornParams(iters=value)
+    with pytest.raises(ValueError, match=r"^k_max must be an integer"):
+        AdaptiveKParams(k_max=value)
+    with pytest.raises(ValueError, match=r"^k_max must be an integer"):
+        estimate_k(SCENE, k_max=value)
+    with pytest.raises(ValueError, match=r"^k must be an integer"):
+        dnms(SCENE, None, PipelineConfig(k=value))
+
+
+def test_integer_parameters_accept_numpy_integers():
+    assert SinkhornParams(iters=np.int64(3)).iters == 3
+    assert estimate_k(SCENE, k_max=np.int32(2)) <= 2
+    assert dnms(SCENE, None, PipelineConfig(k=np.int64(2)))[1].k == 2

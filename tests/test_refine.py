@@ -172,16 +172,6 @@ class TestFrankWolfe:
             trace = np.array(result.objective_trace)
             assert (np.diff(trace) >= -1e-12).all()
 
-    def test_one_step_optimality_for_any_budget(self):
-        # with a linear objective the first oracle step is already optimal
-        q = np.array([0.9, 0.1, 0.4])
-        params = RefineParams(tau_H=0.8)
-        oracle = lmo_entropy(q, params)
-        target = float(q @ oracle.p)
-        for t_max in (1, 2, 3, 7):
-            result = frank_wolfe(q, RefineParams(tau_H=0.8, t_max=t_max))
-            assert result.objective_trace[-1] == pytest.approx(target, abs=1e-9)
-
     @settings(max_examples=50, deadline=None)
     @given(q_vectors, st.floats(min_value=0.0, max_value=1.0))
     def test_feasibility_and_two_step_convergence(self, q, frac):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from sinkhorn_nms import (
 )
 from sinkhorn_nms.rng import SplitMix64
 from sinkhorn_nms.sinkhorn import _lse
+from conftest import grad_in_mode, solve_in_mode
 from sinkhorn_nms.verification import central_difference, normalized_error, random_matrix
 
 # Closed form for C=[[0,1],[1,0]], tau=1, uniform marginals: the scaled
@@ -27,8 +30,8 @@ Z_2X2 = 0.36552928931500245
 W_2X2 = 0.13447071068499758
 
 
-def converged_params(tau, iters=5000, tol=1e-12, log_domain=None):
-    return SinkhornParams(tau=tau, iters=iters, tol=tol, log_domain=log_domain)
+def converged_params(tau, iters=5000, tol=1e-12):
+    return SinkhornParams(tau=tau, iters=iters, tol=tol)
 
 
 class TestSolve:
@@ -53,13 +56,13 @@ class TestSolve:
         S = solve(np.full((3, 4), 7.0), converged_params(0.5), Marginals.uniform(3, 4))
         assert np.allclose(S.matrix, 1.0 / 12.0, atol=1e-12)
 
-    @pytest.mark.parametrize("tau,log_domain", [(1.0, False), (1.0, True), (0.1, True)])
-    def test_marginal_feasibility(self, tau, log_domain):
+    @pytest.mark.parametrize("tau,log_mode", [(1.0, False), (1.0, True), (0.1, True)])
+    def test_marginal_feasibility(self, tau, log_mode):
         rng = SplitMix64(3)
         for trial in range(5):
             C = random_matrix(rng, 6, 4)
             marg = Marginals.uniform(6, 4)
-            S = solve(C, converged_params(tau, tol=1e-10, log_domain=log_domain), marg)
+            S = solve_in_mode(C, converged_params(tau, tol=1e-10), marg, log_mode)
             assert S.converged
             assert np.abs(S.matrix.sum(axis=1) - marg.a).sum() <= 1e-10
             assert np.abs(S.matrix.sum(axis=0) - marg.b).sum() <= 1e-10
@@ -70,7 +73,7 @@ class TestSolve:
         marg = Marginals.uniform(5, 3)
         # stop far from convergence: columns were scaled last, so they are
         # exact to machine precision while rows still drift
-        S = solve(C, SinkhornParams(tau=0.5, iters=2, tol=1e-300, log_domain=False), marg)
+        S = solve_in_mode(C, SinkhornParams(tau=0.5, iters=2, tol=1e-300), marg, False)
         assert np.abs(S.matrix.sum(axis=0) - marg.b).max() < 1e-15
 
     def test_violation_trace_non_increasing(self):
@@ -86,9 +89,9 @@ class TestSolve:
     def test_duals_reconstruct_matrix(self):
         rng = SplitMix64(6)
         C = random_matrix(rng, 4, 3)
-        for log_domain in (False, True):
-            params = converged_params(1.0, log_domain=log_domain)
-            S = solve(C, params, Marginals.uniform(4, 3))
+        params = converged_params(1.0)
+        for log_mode in (False, True):
+            S = solve_in_mode(C, params, Marginals.uniform(4, 3), log_mode)
             rebuilt = np.exp((S.u[:, None] + S.v[None, :] - C) / params.tau)
             assert np.allclose(rebuilt, S.matrix, atol=1e-12)
 
@@ -96,31 +99,49 @@ class TestSolve:
         rng = SplitMix64(7)
         C = random_matrix(rng, 5, 4)
         marg = Marginals.uniform(5, 4)
-        lin = solve(C, converged_params(0.6, log_domain=False), marg)
-        log = solve(C, converged_params(0.6, log_domain=True), marg)
+        lin = solve_in_mode(C, converged_params(0.6), marg, False)
+        log = solve_in_mode(C, converged_params(0.6), marg, True)
         assert np.allclose(lin.matrix, log.matrix, atol=1e-12)
 
-    def test_linear_mode_underflow_raises(self):
+    def test_linear_mode_underflow_reruns_in_log_mode(self):
         # the first row of exp(-C) underflows to zero entirely
         C = np.array([[4000.0, 4000.0], [0.0, 1.0]])
         marg = Marginals.uniform(2, 2)
-        with pytest.raises(NumericalError, match="log_domain"):
-            solve(C, SinkhornParams(tau=1.0, iters=10, tol=1e-9, log_domain=False), marg)
-        # the advertised remedy works
-        log_params = SinkhornParams(tau=1.0, iters=10, tol=1e-9, log_domain=True)
-        S = solve(C, log_params, marg)
+        params = SinkhornParams(tau=1.0, iters=10, tol=1e-9)
+        S = solve_in_mode(C, params, marg, True)
         assert np.isfinite(S.matrix).all()
-        # auto mode starts linear at tau = 1 and falls back to the same log run
-        auto_params = SinkhornParams(tau=1.0, iters=10, tol=1e-9)
-        auto = solve(C, auto_params, marg)
+        # tau = 1 starts linear and falls back to the same log run
+        auto = solve(C, params, marg)
         assert auto.log_domain is True
         for field in ("matrix", "u", "v"):
             assert np.array_equal(getattr(auto, field), getattr(S, field))
         assert auto.violations == S.violations
         assert auto.iterations == S.iterations
         U = np.array([[1.0, -1.0], [0.5, 0.0]])
-        assert np.array_equal(grad_unrolled(C, auto_params, marg, U),
-                              grad_unrolled(C, log_params, marg, U))
+        assert np.array_equal(grad_unrolled(C, params, marg, U),
+                              grad_in_mode(C, params, marg, U, True))
+
+    def test_overflow_of_cost_over_tau_raises(self):
+        # -C / tau is -inf in three entries and +inf in the fourth
+        C = np.array([[1e300, 1e300], [1e300, -1e300]])
+        params, marg = SinkhornParams(tau=1e-10), Marginals.uniform(2, 2)
+        with pytest.raises(NumericalError, match="C / tau"):
+            solve(C, params, marg)
+        for log_mode in (True, False):
+            with pytest.raises(NumericalError, match="C / tau"):
+                solve_in_mode(C, params, marg, log_mode)
+
+    def test_costs_past_the_kernel_range_give_zero_entries(self):
+        # -C / tau is -inf off the anti-diagonal: a finite coupling, no warning
+        C = np.array([[1e300, 0.0], [0.0, 1e300]])
+        params, marg = SinkhornParams(tau=1e-10), Marginals.uniform(2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [solve(C, params, marg)]
+            runs += [solve_in_mode(C, params, marg, log_mode) for log_mode in (True, False)]
+        for S in runs:
+            assert np.array_equal(S.matrix, [[0.0, 0.5], [0.5, 0.0]])
+            assert S.converged
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -135,9 +156,11 @@ class TestSolve:
             Marginals(np.array([0.5, 0.5]), np.array([0.7, 0.2]))
 
     def test_auto_log_domain_threshold(self):
-        assert SinkhornParams(tau=0.1).resolve_log_domain() is True
-        assert SinkhornParams(tau=0.5).resolve_log_domain() is False
-        assert SinkhornParams(tau=0.1, log_domain=False).resolve_log_domain() is False
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        marg = Marginals.uniform(2, 2)
+        assert solve(C, SinkhornParams(tau=0.1), marg).log_domain is True
+        assert solve(C, SinkhornParams(tau=0.5), marg).log_domain is False
+        assert solve_in_mode(C, SinkhornParams(tau=0.1), marg, False).log_domain is False
 
 
 class TestLogSumExp:
@@ -270,17 +293,19 @@ class TestGradUnrolled:
         g = grad_unrolled(C, params, Marginals.uniform(3, 2), np.zeros((3, 2)))
         assert np.array_equal(g, np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_matches_finite_differences(self, log_domain):
+    @pytest.mark.parametrize("log_mode", [False, True])
+    def test_matches_finite_differences(self, log_mode):
         rng = SplitMix64(12)
-        params = SinkhornParams(tau=1.0, iters=10, tol=1e-300, log_domain=log_domain)
+        params = SinkhornParams(tau=1.0, iters=10, tol=1e-300)
         for _ in range(3):
             C = random_matrix(rng, 4, 3)
             U = random_matrix(rng, 4, 3, -1.0, 1.0)
             marg = Marginals.uniform(4, 3)
-            g = grad_unrolled(C, params, marg, U)
+            g = grad_in_mode(C, params, marg, U, log_mode)
             fd = central_difference(
-                lambda X: float((U * solve(X, params, marg).matrix).sum()), C, 1e-5
+                lambda X: float((U * solve_in_mode(X, params, marg, log_mode).matrix).sum()),
+                C,
+                1e-5,
             )
             assert normalized_error(g, fd) < 1e-4
 
@@ -289,8 +314,9 @@ class TestGradUnrolled:
         C = random_matrix(rng, 5, 3)
         U = random_matrix(rng, 5, 3, -1.0, 1.0)
         marg = Marginals.uniform(5, 3)
-        g_lin = grad_unrolled(C, SinkhornParams(1.0, 8, 1e-300, log_domain=False), marg, U)
-        g_log = grad_unrolled(C, SinkhornParams(1.0, 8, 1e-300, log_domain=True), marg, U)
+        params = SinkhornParams(1.0, 8, 1e-300)
+        g_lin = grad_in_mode(C, params, marg, U, False)
+        g_log = grad_in_mode(C, params, marg, U, True)
         assert np.allclose(g_lin, g_log, atol=1e-12)
 
     def test_differentiates_executed_iterations_after_early_stop(self):

@@ -23,15 +23,20 @@ exp(-C / tau) is a normal float.  Past that its duals come from a kernel that
 lost entries while S is rebuilt from the full exponent, so S can miss the
 marginals by orders of magnitude: row sums of 2e43 on a 6x7 case at tau 0.2
 with costs up to 2000 tau.  There a linear run is held to what it must do by
-itself: raise only when linear mode was requested, and after an auto-mode
-fallback return the bits of an explicit log-mode run.  Its recorded
-violations are checked against its own S, in every mode, by
+itself: after falling back to log mode, return the bits of a run started in
+log mode.  Where the reference raises, which it did when linear mode was
+forced, the current driver falls back too and is held to the same.  Its
+recorded violations are checked against its own S, in every mode, by
 ``test_each_violation_is_that_of_the_returned_coupling``.
+
+The reference reads its mode from ``OracleParams``, the solver parameters as
+they were when it was written; the current driver is started in that mode
+through ``conftest.solve_in_mode``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -41,19 +46,39 @@ from hypothesis.extra import numpy as hnp
 
 import sinkhorn_nms as sn
 from sinkhorn_nms.sinkhorn import (
+    LOG_DOMAIN_TAU_THRESHOLD,
     NO_EARLY_STOP_TOL,
     Marginals,
     NumericalError,
     SinkhornParams,
     SoftAssignment,
-    solve,
 )
+from conftest import solve_in_mode
 
 EPS = float(np.finfo(np.float64).eps)
 S_BOUND = 2.0
 DUAL_BOUND = 16.0
 
 # reference implementation
+
+
+@dataclass(frozen=True)
+class OracleParams:
+    """The solver parameters the reference was written against.
+
+    ``log_domain`` None picks log mode below the threshold; True or False
+    forces the mode, and a forced linear run that underflows raises.
+    """
+
+    tau: float
+    iters: int
+    tol: float
+    log_domain: bool | None = None
+
+    def resolve_log_domain(self) -> bool:
+        if self.log_domain is None:
+            return self.tau < LOG_DOMAIN_TAU_THRESHOLD
+        return self.log_domain
 
 
 def _violation(S: np.ndarray, marg: Marginals) -> float:
@@ -147,10 +172,8 @@ def reference_solve(values, params, marg):
 
 
 def current_solve(values, params, marg):
-    try:
-        return solve(values, params, marg)
-    except NumericalError:
-        return None
+    solver_params = SinkhornParams(tau=params.tau, iters=params.iters, tol=params.tol)
+    return solve_in_mode(values, solver_params, marg, params.log_domain)
 
 
 def assert_within_bounds(got: SoftAssignment, want: SoftAssignment, values, params) -> None:
@@ -180,15 +203,14 @@ def check_case(values, params):
     linear_oracle = (np.exp(-values / params.tau) >= np.finfo(np.float64).tiny).all()
     if params.resolve_log_domain() or linear_oracle:
         want = reference_solve(values, params, marg)
-        assert (got is None) == (want is None)
         if want is not None:
             assert_within_bounds(got, want, values, params)
-        return
-    if got is None:
-        assert params.log_domain is False
-    elif got.log_domain:
+            return
+        # the reference raised: linear mode was forced and underflowed
+        assert params.log_domain is False and got.log_domain
+    if got.log_domain:
         log_params = replace(params, log_domain=True)
-        again = solve(values, log_params, marg)
+        again = current_solve(values, log_params, marg)
         for field in ("matrix", "u", "v"):
             assert np.array_equal(getattr(got, field), getattr(again, field))
         assert got.violations == again.violations
@@ -222,7 +244,7 @@ def build(case):
         # rounding creates tied costs
         unit = np.round(unit, decimals)
     values = unit * (spread * tau)
-    return values, SinkhornParams(tau=tau, iters=iters, tol=tol, log_domain=log_domain)
+    return values, OracleParams(tau=tau, iters=iters, tol=tol, log_domain=log_domain)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +272,7 @@ def test_agrees_on_inference_scenes(seed, tau):
     # 256 x 16, the desk-scale operating point of dnms
     values = scene_costs(16, 16, 16, seed)
     for log_domain in (None, True, False):
-        check_case(values, SinkhornParams(tau=tau, iters=10, tol=1e-9, log_domain=log_domain))
+        check_case(values, OracleParams(tau=tau, iters=10, tol=1e-9, log_domain=log_domain))
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,10 +284,8 @@ def test_each_violation_is_that_of_the_returned_coupling(case):
     marg = Marginals.uniform(*values.shape)
     M, K = values.shape
     full = current_solve(values, replace(params, tol=NO_EARLY_STOP_TOL), marg)
-    if full is None:
-        return
     for t in range(1, min(full.iterations, 6) + 1):
-        run = solve(values, replace(params, iters=t, tol=NO_EARLY_STOP_TOL), marg)
+        run = current_solve(values, replace(params, iters=t, tol=NO_EARLY_STOP_TOL), marg)
         if run.log_domain == full.log_domain:
             assert run.violations == full.violations[:t]
         S = run.matrix
