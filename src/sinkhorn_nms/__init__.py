@@ -10,7 +10,6 @@ harnesses that empirically check the solver's convergence guarantees.
 
 from .baselines import greedy_nms, soft_nms
 from .clustering import (
-    AdaptiveKParams,
     Centroids,
     KMeansResult,
     estimate_k,
@@ -78,7 +77,6 @@ from .sinkhorn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveKParams",
     "Assignment",
     "Box",
     "Centroids",

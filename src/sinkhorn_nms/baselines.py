@@ -8,6 +8,8 @@ remaining candidates, and no M x M overlap matrix is ever formed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import iou_matrix
@@ -15,7 +17,7 @@ from .proposals import ProposalSet
 
 
 def _processing_order(pset: ProposalSet) -> np.ndarray:
-    return np.lexsort((pset.arrays.ids, -pset.scores()))
+    return np.lexsort((pset.proposals.ids, -pset.scores()))
 
 
 def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
@@ -49,8 +51,10 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
     exp(-iou^2 / sigma) against it, discarding candidates whose decayed score
     drops below ``score_floor``.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:  # NaN fails this too
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    if not math.isfinite(score_floor):
+        raise ValueError(f"score_floor must be finite, got {score_floor!r}")
     if len(pset) == 0:
         return pset
     boxes = pset.boxes()

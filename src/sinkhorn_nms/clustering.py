@@ -7,7 +7,6 @@ centers are normalized by the image diagonal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .baselines import greedy_nms
 from .geometry import box_centers
-from .proposals import ProposalSet, require_int
+from .proposals import ProposalSet
 from .rng import SplitMix64
 
 DEFAULT_IOU_THRESH = 0.5
@@ -42,23 +41,6 @@ class Centroids:
             raise ValueError("centroids must be finite")
         object.__setattr__(self, "feature_centroids", mu)
         object.__setattr__(self, "spatial_centroids", nu)
-
-
-@dataclass(frozen=True)
-class AdaptiveKParams:
-    """Arguments of ``estimate_k``, checked once for every caller."""
-
-    iou_thresh: float = DEFAULT_IOU_THRESH
-    score_floor: float = DEFAULT_SCORE_FLOOR
-    k_max: int = DEFAULT_K_MAX
-
-    def __post_init__(self):
-        if not math.isfinite(self.score_floor):
-            raise ValueError(f"score_floor must be finite, got {self.score_floor!r}")
-        if not 0.0 < self.iou_thresh < 1.0:  # NaN fails this too
-            raise ValueError("iou_thresh must lie strictly between 0 and 1")
-        if require_int("k_max", self.k_max) < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +79,6 @@ def kmeans(
     points: Sequence[Sequence[float]] | np.ndarray,
     K: int,
     seed: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> KMeansResult:
     """Lloyd's algorithm with seeded farthest-point initialization.
 
@@ -105,7 +86,8 @@ def kmeans(
     point farthest from its nearest chosen centroid.  Empty clusters are
     re-seeded to the point currently farthest from its own centroid.  The
     ``wcss`` trace records the within-cluster sum of squares after every
-    assignment step and is non-increasing by construction.
+    assignment step and is non-increasing by construction.  At most
+    ``DEFAULT_MAX_ITERS`` update steps run.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -115,8 +97,6 @@ def kmeans(
         raise ValueError(f"insufficient points: K={K} > {n}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
 
     rng = SplitMix64(seed)
     centroids = np.empty((K, pts.shape[1]), dtype=np.float64)
@@ -133,7 +113,7 @@ def kmeans(
 
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         new_centroids, counts = _member_means(pts, labels, centroids)
         # Re-seed empty clusters to the point farthest from its own centroid,
         # excluding points already consumed by this round of re-seeding.
@@ -169,25 +149,16 @@ def init_centroids(pset: ProposalSet, K: int, seed: int) -> Centroids:
     return Centroids(feature_centroids=mu, spatial_centroids=nu)
 
 
-def estimate_k(
-    pset: ProposalSet,
-    iou_thresh: float = DEFAULT_IOU_THRESH,
-    score_floor: float = DEFAULT_SCORE_FLOOR,
-    k_max: int = DEFAULT_K_MAX,
-) -> int:
+def estimate_k(pset: ProposalSet) -> int:
     """Estimate the latent region count as the greedy-NMS survivor count.
 
-    Survivors of greedy suppression at ``iou_thresh`` over proposals scoring
-    at least ``score_floor``, clamped to [1, min(M, k_max)].  This is a
-    heuristic stand-in for a model-based estimate; it is cheap and grows
-    with scene complexity.  The arguments are checked by ``AdaptiveKParams``.
+    Survivors of greedy suppression at ``DEFAULT_IOU_THRESH`` over proposals
+    scoring at least ``DEFAULT_SCORE_FLOOR``, clamped to
+    [1, min(M, DEFAULT_K_MAX)].  This is a heuristic stand-in for a
+    model-based estimate; it is cheap and grows with scene complexity.
     """
-    AdaptiveKParams(iou_thresh, score_floor, k_max)
     if len(pset) == 0:
         raise ValueError("no proposals")
-    eligible = np.flatnonzero(pset.scores() >= score_floor)
-    if eligible.size:
-        survivors = len(greedy_nms(pset.take(eligible), iou_thresh))
-    else:
-        survivors = 0
-    return max(1, min(survivors, min(len(pset), k_max)))
+    eligible = np.flatnonzero(pset.scores() >= DEFAULT_SCORE_FLOOR)
+    survivors = len(greedy_nms(pset.take(eligible), DEFAULT_IOU_THRESH))
+    return max(1, min(survivors, min(len(pset), DEFAULT_K_MAX)))

@@ -36,6 +36,7 @@ class CostWeights:
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))  # as JSON takes
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("cost weights must be nonnegative")
         if self.alpha == self.beta == self.gamma == 0.0:

@@ -86,7 +86,7 @@ def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
         "feature_dim": pset.feature_dim,
     }
     lines = [dumps_canonical(header)]
-    a = pset.arrays
+    a = pset.proposals
     rows = zip(a.ids.tolist(), a.scores.tolist(), a.boxes.tolist(), a.features.tolist(),
                a.masks or (None,) * len(a))
     for ident, score, box, feature, mask in rows:

@@ -5,13 +5,11 @@ min(M, K), with a deterministic tie-break: among all optimal matchings it
 returns the lexicographically smallest pair list.  The underlying linear
 assignment subproblems are solved with scipy; the tie-break is enforced by
 re-solving with pairs forced in lexicographic order, so optimality is never
-sacrificed for determinism.  Committed rows only ever shrink the free rows
-to a suffix.  So at each slot every free column gets one C-ordered block,
-the free rows by the other free columns, and each forced sub-problem is a
-row view of a block: a probe makes no copy of its own, and scipy needs no
-C-order copy of it.  A forced pair counts as optimal when it is within the
-rounding error of an n-term sum of the optimum, so it can neither reject a
-true optimum nor admit a pair that is measurably worse.
+sacrificed for determinism.  Each forced sub-problem that is solved is
+taken as one C-ordered copy, so scipy makes none of its own.  A forced pair
+counts as optimal when it is within the rounding error of an n-term sum of
+the optimum, so it can neither reject a true optimum nor admit a pair that
+is measurably worse.
 
 Most probes need no LAP solve.  Within a slot the free columns are fixed,
 and moving down to a later row only removes rows from the completion
@@ -85,11 +83,6 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
     cols = list(range(K))
     for slot in range(n):
         need = n - slot - 1
-        # The free columns without each one in turn, and for each the
-        # C-ordered sub-problem on the free rows; a probe below row j is
-        # then a row view of it.
-        others = [cols[:i] + cols[i + 1 :] for i in range(len(cols))]
-        blocks = [values[start:].take(c, axis=1) for c in others] if need else []
         # The last completion cost computed for each free column: a later
         # row's completion has fewer rows to choose from, so it is no lower.
         bound = [-np.inf] * len(cols)
@@ -101,7 +94,8 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
                 head = fixed_cost + row[k]
                 if head + bound[i] > optimum + 2 * tol:
                     continue  # fails the test below whatever its LAP returns
-                rest = bound[i] = _lap_cost(blocks[i][j + 1 - start :]) if need else 0.0
+                others = cols[:i] + cols[i + 1 :]
+                rest = bound[i] = _lap_cost(values[j + 1 :].take(others, axis=1)) if need else 0.0
                 if head + rest <= optimum + tol:
                     break
             else:
@@ -112,7 +106,7 @@ def hungarian_solve(C: CostMatrix | np.ndarray) -> Assignment:
         pairs.append((j, k))
         fixed_cost += row[k]
         start = j + 1
-        cols = others[i]
+        del cols[i]
 
     indicator = np.zeros((M, K), dtype=np.float64)
     for j, k in pairs:

@@ -45,6 +45,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("lambda_kl", "lambda1", "lambda2"):
             _check_weight(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _check_weight(name: str, val: float) -> None:
@@ -146,12 +147,16 @@ def kl_grad_wrt_assignment(S: SoftAssignment | np.ndarray, Pstar: Assignment) ->
     """Derivative of the smoothed, normalized KL with respect to the coupling.
 
     With s_bar = S / T, T = sum(S):
-    d KL / d S[a, b] = (log(s_bar[a, b] / p_bar[a, b]) - KL) / T.
+    d KL / d S[a, b] = (log(s_bar[a, b] / p_bar[a, b]) - KL) / T, -inf where
+    s_bar is 0.  A T too small to divide by (subnormal) raises ``ValueError``.
     """
     kl, total, s_bar, p_bar = _smoothed_kl(S, Pstar)  # rejects a coupling that is not one
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         log_ratio = np.log(s_bar) - np.log(p_bar)
-    return (log_ratio - kl) / total
+        grad = (log_ratio - kl) / total
+    if np.isinf(grad[np.isfinite(log_ratio)]).any():
+        raise ValueError(f"S total mass {total!r} is too small to divide the KL gradient by")
+    return grad
 
 
 def grad_matching_wrt_cost(

@@ -57,6 +57,14 @@ class PipelineConfig:
     k: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        # Stored as Python ints, so a run report can echo them as JSON.
+        if self.k is not None:
+            object.__setattr__(self, "k", require_int("k", self.k))
+            if self.k < 1:
+                raise ValueError("k must be >= 1")
+        object.__setattr__(self, "seed", require_int("seed", self.seed))
+
 
 @dataclass(frozen=True, eq=False)
 class PipelineDiagnostics:
@@ -108,7 +116,7 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     boxes = pset.boxes()
     scores = pset.scores()[:, None]
     feats = pset.features()
-    mask_list = pset.arrays.masks or ()
+    mask_list = pset.proposals.masks or ()
     carriers = [i for i, m in enumerate(mask_list) if m is not None]
     grids = [mask_list[i].values for i in carriers]
     if len({g.shape for g in grids}) > 1:
@@ -158,8 +166,6 @@ def dnms(
     if M == 0:
         raise ValueError("no proposals")
     if cfg.k is not None:
-        if require_int("k", cfg.k) < 1:
-            raise ValueError("k must be >= 1")
         K = min(cfg.k, M)
     else:
         K = estimate_k(pset)

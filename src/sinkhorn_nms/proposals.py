@@ -1,12 +1,13 @@
 """Proposal containers and a deterministic synthetic scene generator.
 
-A ``ProposalSet`` stores its proposals as arrays (``ProposalArrays``): ids,
-scores, boxes, features and an optional mask tuple, all read-only, which the
-pipeline reads directly.  A set built from ``Proposal`` objects stacks them
-once into that storage.  ``Proposal`` remains the per-item API: each read of a
-row builds a new ``Proposal`` value from it, so two reads of one row are equal
-by value, not the same object.  Features of differing shapes cannot be stacked
-and are rejected on construction.
+A ``ProposalSet`` stores its proposals as arrays (``pset.proposals``, a
+``ProposalArrays``): ids, scores, boxes, features and an optional mask tuple,
+all read-only, which the pipeline reads directly.  A set built from
+``Proposal`` objects stacks them once into that storage.  ``Proposal``
+remains the per-item API: each read of a row builds a new ``Proposal`` value
+from it, so two reads of one row are equal by value, not the same object.
+Features of differing shapes cannot be stacked and are rejected on
+construction.
 
 ``synth_generate`` builds desk-scale scenes with known structure: ground-truth
 regions at seeded pseudo-random positions, proposals jittered around them,
@@ -168,9 +169,9 @@ class ProposalSet:
     """Ordered proposals plus the image extent and shared feature dimension.
 
     ``proposals`` is always a ``ProposalArrays``, the one storage the
-    pipeline reads (``arrays`` names the same object).  A sequence of
-    ``Proposal`` objects given instead is stacked into one on construction;
-    the file reader and ``synth_generate`` pass their arrays directly.
+    pipeline reads.  A sequence of ``Proposal`` objects given instead is
+    stacked into one on construction; the file reader and ``synth_generate``
+    pass their arrays directly.
 
     Construction is lenient so that malformed sets can be inspected; use
     :func:`validate` to obtain the list of invariant violations.  Only
@@ -186,10 +187,6 @@ class ProposalSet:
     def __post_init__(self):
         if not isinstance(self.proposals, ProposalArrays):
             object.__setattr__(self, "proposals", ProposalArrays.from_proposals(tuple(self.proposals)))
-
-    @property
-    def arrays(self) -> ProposalArrays:
-        return self.proposals
 
     def __len__(self) -> int:
         return len(self.proposals)
@@ -245,12 +242,14 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_regions < 1 or self.proposals_per_region < 1:
             raise ValueError("num_regions and proposals_per_region must be >= 1")
-        if self.jitter < 0 or self.score_noise < 0:
-            raise ValueError("jitter and score_noise must be nonnegative")
+        for name, value in (("jitter", self.jitter), ("score_noise", self.score_noise)):
+            if not 0.0 <= value < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image size must be positive")
+        for name, value in (("image_width", self.image_width), ("image_height", self.image_height)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _draw_prototype(rng: SplitMix64, dim: int, existing: list[np.ndarray]) -> np.ndarray:
@@ -331,7 +330,7 @@ def validate(pset: ProposalSet) -> list[str]:
 
     An empty list means the set is well-formed.  The checks run on the
     arrays; messages come in proposal order, each proposal's in the order
-    duplicate id, score, box, feature.
+    duplicate id, score, box corners, box extent, feature.
     """
     violations: list[str] = []
     W, H = pset.image_width, pset.image_height
@@ -340,35 +339,37 @@ def validate(pset: ProposalSet) -> list[str]:
     if len(pset) == 0:
         violations.append("proposal set is empty")
         return violations
-    arrays = pset.arrays
-    ids, scores, boxes, feats = arrays.ids, arrays.scores, arrays.boxes, arrays.features
+    a = pset.proposals
+    ids, scores, boxes, feats = a.ids, a.scores, a.boxes, a.features
     _, first_index, inverse = np.unique(ids, return_index=True, return_inverse=True)
     first_seen = first_index[inverse]
     rows = np.arange(len(ids))
     duplicate = first_seen != rows
     bad_score = ~((scores >= 0.0) & (scores <= 1.0))
+    # what Box rejects; NaN fails the ordering too
+    bad_corners = ~((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3])
+                    & np.isfinite(boxes).all(axis=1))
     outside = (boxes[:, 0] < 0) | (boxes[:, 1] < 0) | (boxes[:, 2] > W) | (boxes[:, 3] > H)
     shape = feats.shape[1:]
     bad_dim = len(shape) != 1 or shape[0] != pset.feature_dim
     nonfinite = np.zeros(len(ids), bool) if bad_dim else ~np.isfinite(feats).all(axis=1)
-    flagged = rows if bad_dim else np.flatnonzero(duplicate | bad_score | outside | nonfinite)
-    for i in flagged:
-        p = pset.proposals[i]
+    bad = duplicate | bad_score | bad_corners | outside | nonfinite
+    for i in rows if bad_dim else np.flatnonzero(bad):
+        # read from the arrays: a Proposal cannot hold a box with bad corners
+        box = "({}, {}, {}, {})".format(*boxes[i].tolist())
         if duplicate[i]:
-            violations.append(f"duplicate id {p.id} at indices {first_seen[i]} and {i}")
+            violations.append(f"duplicate id {ids[i]} at indices {first_seen[i]} and {i}")
         if bad_score[i]:
-            violations.append(f"proposal id {p.id}: score {p.score} outside [0, 1]")
+            violations.append(f"proposal id {ids[i]}: score {float(scores[i])} outside [0, 1]")
+        if bad_corners[i]:
+            violations.append(f"proposal id {ids[i]}: box {box} must be finite, x1 <= x2, y1 <= y2")
         if outside[i]:
-            b = p.box
-            violations.append(
-                f"proposal id {p.id}: box ({b.x1}, {b.y1}, {b.x2}, {b.y2}) "
-                f"outside image {W}x{H}"
-            )
+            violations.append(f"proposal id {ids[i]}: box {box} outside image {W}x{H}")
         if bad_dim:
             violations.append(
-                f"proposal id {p.id}: feature dimension {shape} "
+                f"proposal id {ids[i]}: feature dimension {shape} "
                 f"does not match set feature_dim {pset.feature_dim}"
             )
         elif nonfinite[i]:
-            violations.append(f"proposal id {p.id}: feature has non-finite entries")
+            violations.append(f"proposal id {ids[i]}: feature has non-finite entries")
     return violations

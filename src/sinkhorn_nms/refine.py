@@ -62,6 +62,7 @@ class RefineParams:
     def __post_init__(self):
         if not math.isfinite(self.tau_H):
             raise ValueError(f"tau_H must be finite, got {self.tau_H!r}")
+        object.__setattr__(self, "tau_H", float(self.tau_H))  # as JSON takes
         if self.tau_H < 0:
             raise ValueError("tau_H must be nonnegative")
 

@@ -9,6 +9,8 @@ and the output is a bijective xor-multiply scramble of the new state.
 
 from __future__ import annotations
 
+import operator
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4B5B9
@@ -21,7 +23,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = operator.index(seed) & _MASK64  # a numpy int64 would overflow the &
 
     def next_u64(self) -> int:
         """Advance the state and return the next 64-bit output word."""

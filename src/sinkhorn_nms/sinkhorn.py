@@ -93,12 +93,15 @@ class SinkhornParams:
     tol: float = 1e-9
 
     def __post_init__(self):
+        # Stored as Python scalars, so a run report can echo them as JSON.
         for name in ("tau", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
-        if require_int("iters", self.iters) < 1:
+        object.__setattr__(self, "iters", require_int("iters", self.iters))
+        if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")

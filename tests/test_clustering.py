@@ -1,10 +1,12 @@
 import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from sinkhorn_nms import (
     SynthConfig,
+    clustering,
     estimate_k,
     init_centroids,
     kmeans,
@@ -120,7 +122,8 @@ class TestInitCentroids:
 
 class TestEstimateK:
     def test_three_box_fixture(self, three_box_set):
-        assert estimate_k(three_box_set, iou_thresh=0.5, score_floor=0.05) == 2
+        assert (clustering.DEFAULT_IOU_THRESH, clustering.DEFAULT_SCORE_FLOOR) == (0.5, 0.05)
+        assert estimate_k(three_box_set) == 2
 
     def test_all_identical_gives_one(self):
         pset, _ = synth_generate(
@@ -131,14 +134,16 @@ class TestEstimateK:
         spread, _ = synth_generate(
             SynthConfig(num_regions=5, proposals_per_region=1, jitter=0.0, seed=3)
         )
-        assert estimate_k(spread, k_max=2) <= 2
+        with patch.object(clustering, "DEFAULT_K_MAX", 2):
+            assert estimate_k(spread) <= 2
 
     def test_clamped_to_k_max(self):
         pset, _ = synth_generate(
             SynthConfig(num_regions=40, proposals_per_region=1, seed=13,
                         image_width=4000.0, image_height=4000.0)
         )
-        assert estimate_k(pset, k_max=32) == 32
+        assert clustering.DEFAULT_K_MAX == 32
+        assert estimate_k(pset) == 32
 
     def test_empty_raises(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=0))
@@ -146,11 +151,13 @@ class TestEstimateK:
             estimate_k(dataclasses.replace(pset, proposals=()))
 
     def test_floor_excludes_everything_clamps_to_one(self, three_box_set):
-        assert estimate_k(three_box_set, score_floor=0.99) == 1
+        with patch.object(clustering, "DEFAULT_SCORE_FLOOR", 0.99):
+            assert estimate_k(three_box_set) == 1
 
     def test_range_invariant(self, three_box_set):
         for thresh in (0.1, 0.5, 0.9):
-            k = estimate_k(three_box_set, iou_thresh=thresh)
+            with patch.object(clustering, "DEFAULT_IOU_THRESH", thresh):
+                k = estimate_k(three_box_set)
             assert 1 <= k <= 3
 
 

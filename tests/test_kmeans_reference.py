@@ -11,6 +11,7 @@ when entries are ``±0.0`` and when the iteration budget runs out mid-update.
 from __future__ import annotations
 
 from typing import Sequence
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -99,7 +100,10 @@ def kmeans(
 
 
 def assert_same_as_reference(points, K, seed, max_iters):
-    got = clustering.kmeans(points, K, seed, max_iters)
+    # The library's Lloyd budget is a module constant; the reference takes it
+    # as an argument.
+    with patch.object(clustering, "DEFAULT_MAX_ITERS", max_iters):
+        got = clustering.kmeans(points, K, seed)
     want = kmeans(points, K, seed, max_iters)
     assert got.centroids.dtype == want.centroids.dtype
     assert got.centroids.tobytes() == want.centroids.tobytes()

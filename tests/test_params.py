@@ -8,34 +8,39 @@ not finite and positive, a non-finite pass threshold, a KL weight that is not
 finite and nonnegative, and a size bound below 2, before any trial; the
 convergence sweeps reject a temperature that is not finite and positive
 before the first trial at any temperature.  The functions called directly
-with a temperature, the marginals and ``estimate_k`` check their arguments
-the same way.  A simplex vector, the refinement scores and the coupling of
-the KL divergence are rejected by name when an entry is not finite, since
+with a temperature and the marginals check their arguments the same way.
+A simplex vector, the refinement scores and the coupling of the KL
+divergence are rejected by name when an entry is not finite, since
 ``max(0.0, nan)`` would otherwise report a NaN gap or divergence as 0.0.
 The Hilbert distance rejects a non-finite entry, which would make it NaN.
-Integer parameters (the scaling budget, the region count and its adaptive
-bound) reject a float, NaN included, by name: ``2.5 < 1`` is false, so an
-ordering check alone would let it through to ``range`` or k-means.
+Integer parameters (the scaling budget and the region count) reject a
+float, NaN included, by name: ``2.5 < 1`` is false, so an ordering check
+alone would let it through to ``range`` or k-means.  A numpy scalar is
+accepted and stored as the Python ``int`` or ``float``, so the run report
+can echo it.  The soft-NMS parameters and the synthetic-scene sizes and
+noise levels reject non-finite values by name, and the KL gradient rejects
+a total mass too small to divide by.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from sinkhorn_nms import (
-    AdaptiveKParams,
     PipelineConfig,
     SimplexVector,
     SynthConfig,
     cli,
     dnms,
     duality_gap,
-    estimate_k,
+    formats,
     frank_wolfe,
     hungarian_solve,
     kl_divergence,
     lmo_entropy,
+    soft_nms,
     synth_generate,
     verification,
 )
@@ -57,7 +62,6 @@ FIELDS = [
     (CostWeights, "alpha"),
     (CostWeights, "beta"),
     (CostWeights, "gamma"),
-    (AdaptiveKParams, "score_floor"),
 ]
 
 
@@ -66,19 +70,6 @@ FIELDS = [
 def test_non_finite_field_rejected(cls, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         cls(**{name: value})
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"k_max": 0}, r"^k_max must be >= 1, got 0"),
-    ({"k_max": -5}, r"^k_max must be >= 1, got -5"),
-    ({"iou_thresh": 0.0}, r"^iou_thresh must lie strictly between 0 and 1"),
-    ({"iou_thresh": 1.0}, r"^iou_thresh must lie strictly between 0 and 1"),
-    ({"iou_thresh": math.nan}, r"^iou_thresh must lie strictly between 0 and 1"),
-    ({"iou_thresh": math.inf}, r"^iou_thresh must lie strictly between 0 and 1"),
-])
-def test_adaptive_k_params_rejected_out_of_range(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        AdaptiveKParams(**kwargs)
 
 
 def test_nan_entropy_threshold_cannot_reach_the_pipeline():
@@ -192,21 +183,6 @@ def test_direct_calls_reject_bad_tau(call, value):
 SCENE, _ = synth_generate(SynthConfig(num_regions=4, proposals_per_region=4, seed=1))
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"score_floor": math.nan}, r"^score_floor must be finite, got nan"),
-    ({"score_floor": -math.inf}, r"^score_floor must be finite, got -inf"),
-    ({"k_max": 0}, r"^k_max must be >= 1, got 0"),
-    ({"k_max": -5}, r"^k_max must be >= 1, got -5"),
-    ({"iou_thresh": math.nan}, r"^iou_thresh must lie strictly between 0 and 1"),
-    ({"iou_thresh": 1.0}, r"^iou_thresh must lie strictly between 0 and 1"),
-])
-def test_estimate_k_applies_the_adaptive_k_rules(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        AdaptiveKParams(**kwargs)
-    with pytest.raises(ValueError, match=message):
-        estimate_k(SCENE, **kwargs)
-
-
 @pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
 def test_simplex_vector_rejects_non_finite_entries(p):
     with pytest.raises(ValueError, match=r"^simplex vector entries must be finite"):
@@ -242,6 +218,14 @@ def test_kl_rejects_negative_entries(call):
         call(np.array([[-0.5, 1.0], [0.5, 0.0]]), hungarian_solve(np.eye(2)))
 
 
+def test_kl_grad_rejects_a_total_mass_too_small_to_divide_by():
+    # a subnormal total: the divergence is finite, its gradient would overflow
+    S = np.full((2, 2), 1e-310)
+    assert math.isfinite(kl_divergence(S, hungarian_solve(np.eye(2))))
+    with pytest.raises(ValueError, match=r"^S total mass 4e-310 is too small"):
+        kl_grad_wrt_assignment(S, hungarian_solve(np.eye(2)))
+
+
 @pytest.mark.parametrize("P, Q", [
     ([[1.0, math.nan]], [[1.0, 2.0]]),
     ([[1.0, 2.0]], [[math.nan, 2.0]]),
@@ -256,15 +240,51 @@ def test_hilbert_distance_rejects_non_finite_entries(P, Q):
 def test_integer_parameters_reject_non_integers(value):
     with pytest.raises(ValueError, match=r"^iters must be an integer"):
         SinkhornParams(iters=value)
-    with pytest.raises(ValueError, match=r"^k_max must be an integer"):
-        AdaptiveKParams(k_max=value)
-    with pytest.raises(ValueError, match=r"^k_max must be an integer"):
-        estimate_k(SCENE, k_max=value)
     with pytest.raises(ValueError, match=r"^k must be an integer"):
         dnms(SCENE, None, PipelineConfig(k=value))
 
 
 def test_integer_parameters_accept_numpy_integers():
     assert SinkhornParams(iters=np.int64(3)).iters == 3
-    assert estimate_k(SCENE, k_max=np.int32(2)) <= 2
     assert dnms(SCENE, None, PipelineConfig(k=np.int64(2)))[1].k == 2
+
+
+def _report_bytes(cfg):
+    refined, diag = dnms(SCENE, None, cfg)
+    return formats.dumps_canonical(formats.run_report(cfg, refined, diag)).encode()
+
+
+@pytest.mark.parametrize("numpy_cfg, python_cfg", [
+    (lambda: PipelineConfig(k=np.int64(2), sinkhorn=SinkhornParams(iters=np.int64(5))),
+     lambda: PipelineConfig(k=2, sinkhorn=SinkhornParams(iters=5))),
+    (lambda: PipelineConfig(k=2, sinkhorn=SinkhornParams(tau=np.float64(0.25))),
+     lambda: PipelineConfig(k=2, sinkhorn=SinkhornParams(tau=0.25))),
+    (lambda: PipelineConfig(k=2, sinkhorn=SinkhornParams(tau=np.float32(0.25)),
+                            weights=CostWeights(alpha=np.float32(2.0)),
+                            refine=RefineParams(tau_H=np.float32(0.5))),
+     lambda: PipelineConfig(k=2, sinkhorn=SinkhornParams(tau=0.25),
+                            weights=CostWeights(alpha=2.0), refine=RefineParams(tau_H=0.5))),
+    (lambda: PipelineConfig(k=2, seed=np.int64(3)), lambda: PipelineConfig(k=2, seed=3)),
+], ids=["int64_k_and_iters", "float64_tau", "float32_tau_alpha_tau_H", "int64_seed"])
+def test_numpy_scalars_in_a_config_give_the_python_report(numpy_cfg, python_cfg):
+    # The report echoes the config as JSON, which takes no numpy scalar; the
+    # solver mode it reports is a comparison on tau, a numpy bool if tau is one.
+    got = _report_bytes(numpy_cfg())
+    assert got == _report_bytes(python_cfg())
+    assert json.loads(got)["diagnostics"]["log_domain"] is True
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: soft_nms(SCENE, math.nan, 0.05), r"^sigma must be finite and positive, got nan"),
+    (lambda: soft_nms(SCENE, math.inf, 0.05), r"^sigma must be finite and positive, got inf"),
+    (lambda: soft_nms(SCENE, 0.5, math.nan), r"^score_floor must be finite, got nan"),
+    (lambda: soft_nms(SCENE, 0.5, -math.inf), r"^score_floor must be finite, got -inf"),
+    (lambda: SynthConfig(1, 1, score_noise=math.inf), r"^score_noise must be finite and nonnegative"),
+    (lambda: SynthConfig(1, 1, jitter=math.nan), r"^jitter must be finite and nonnegative"),
+    (lambda: SynthConfig(1, 1, image_width=math.inf), r"^image_width must be finite and positive"),
+    (lambda: SynthConfig(1, 1, image_height=math.nan), r"^image_height must be finite and positive"),
+], ids=["soft_nms_sigma_nan", "soft_nms_sigma_inf", "soft_nms_floor_nan", "soft_nms_floor_-inf",
+        "synth_score_noise_inf", "synth_jitter_nan", "synth_width_inf", "synth_height_nan"])
+def test_baseline_and_synthesis_parameters_must_be_finite(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

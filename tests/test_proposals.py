@@ -12,6 +12,7 @@ from sinkhorn_nms import (
     Mask,
     PipelineConfig,
     Proposal,
+    ProposalArrays,
     ProposalSet,
     SynthConfig,
     dnms,
@@ -159,6 +160,22 @@ class TestValidate:
         violations = validate(dataclasses.replace(pset, proposals=(bad,)))
         assert any("outside image" in v for v in violations)
 
+    def test_box_corners_out_of_order_or_not_finite(self):
+        # Only a set built from arrays can hold such boxes; Box and the file
+        # reader reject them.
+        boxes = np.array([[5, 5, 1, 1], [np.nan, 0, 1, 1], [12, 0, 11, 1]], dtype=float)
+        arrays = ProposalArrays(ids=np.arange(3), scores=np.array([0.5, 0.5, 1.5]),
+                                boxes=boxes, features=np.ones((3, 2)))
+        pset = ProposalSet(proposals=arrays, image_width=10.0, image_height=10.0, feature_dim=2)
+        corners = "must be finite, x1 <= x2, y1 <= y2"
+        assert validate(pset) == [
+            f"proposal id 0: box (5.0, 5.0, 1.0, 1.0) {corners}",
+            f"proposal id 1: box (nan, 0.0, 1.0, 1.0) {corners}",
+            "proposal id 2: score 1.5 outside [0, 1]",
+            f"proposal id 2: box (12.0, 0.0, 11.0, 1.0) {corners}",
+            "proposal id 2: box (12.0, 0.0, 11.0, 1.0) outside image 10.0x10.0",
+        ]
+
     def test_feature_dim_mismatch(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=5))
         bad = dataclasses.replace(pset.proposals[0], feature=np.array([1.0, 2.0]))
@@ -183,7 +200,7 @@ class TestArrayStorage:
         return pset
 
     def test_arrays_are_read_only_and_shaped(self):
-        a = self.scene().arrays
+        a = self.scene().proposals
         assert (a.ids.dtype, a.ids.shape) == (np.int64, (6,))
         assert a.boxes.shape == (6, 4) and a.features.shape == (6, 8)
         assert a.masks is None
@@ -211,7 +228,7 @@ class TestArrayStorage:
         pset = self.scene()
         views = list(pset)
         kept = pset.take(np.array([4, 1]))
-        assert kept.arrays.ids.tolist() == [4, 1]
+        assert kept.proposals.ids.tolist() == [4, 1]
         assert list(map(_bits, kept)) == [_bits(views[4]), _bits(views[1])]
         rescored = pset.take(np.array([4]), np.array([0.25])).proposals[0]
         assert rescored.score == 0.25
@@ -246,7 +263,7 @@ class TestArrayStorage:
         again = pickle.loads(pickle.dumps(pset))
         assert proposal_set_to_lines(again) == proposal_set_to_lines(pset)
         # the copy is rebuilt through the constructor, so it is read-only too
-        a = again.arrays
+        a = again.proposals
         for arr in (a.ids, a.scores, a.boxes, a.features):
             assert not arr.flags.writeable
 
@@ -267,8 +284,8 @@ class TestArrayStorage:
                 pset, proposals=dataclasses.replace(pset.proposals, masks=masks))
         objs = dataclasses.replace(pset, proposals=tuple(pset))
         for name in ("ids", "scores", "boxes", "features"):
-            assert getattr(objs.arrays, name).tobytes() == getattr(pset.arrays, name).tobytes()
-        assert objs.arrays.masks == pset.arrays.masks
+            assert getattr(objs.proposals, name).tobytes() == getattr(pset.proposals, name).tobytes()
+        assert objs.proposals.masks == pset.proposals.masks
         assert proposal_set_to_lines(objs) == proposal_set_to_lines(pset)
         for kept in (lambda s: greedy_nms(s, 0.5), lambda s: soft_nms(s, 0.5, 0.05)):
             assert list(map(_bits, kept(objs))) == list(map(_bits, kept(pset)))

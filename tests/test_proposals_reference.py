@@ -307,14 +307,14 @@ def _size_violations(pset) -> list[str]:
 
 
 def _same_arrays(got, want):
-    assert got.arrays.ids.tolist() == [p.id for p in want]
+    assert got.proposals.ids.tolist() == [p.id for p in want]
     for name in ("boxes", "scores", "features"):
         g, w = getattr(got, name)(), getattr(want, name)()
         assert g.dtype == w.dtype == np.float64
         assert g.tobytes() == w.tobytes(), name
         if len(want):
             assert g.shape == w.shape, name
-    masks = got.arrays.masks
+    masks = got.proposals.masks
     if all(p.mask is None for p in want):
         assert masks is None
     else:
@@ -494,7 +494,7 @@ class TestDeliberateDifferences:
 
     def test_whole_float_id_reads(self, tmp_path):
         path = _write(tmp_path / "p.jsonl", [_rec(3.0), _rec(-2.0)])
-        assert formats.read_proposal_file(path).arrays.ids.tolist() == [3, -2]
+        assert formats.read_proposal_file(path).proposals.ids.tolist() == [3, -2]
 
     @pytest.mark.parametrize("ident", [2**63, -(2**63) - 1, 10**30])
     def test_id_outside_int64_names_its_line(self, tmp_path, ident):
@@ -505,7 +505,7 @@ class TestDeliberateDifferences:
 
     def test_int64_extremes_read(self, tmp_path):
         path = _write(tmp_path / "p.jsonl", [_rec(2**63 - 1), _rec(-(2**63))])
-        ids = formats.read_proposal_file(path).arrays.ids
+        ids = formats.read_proposal_file(path).proposals.ids
         assert ids.tolist() == [2**63 - 1, -(2**63)]
 
     def test_uniform_feature_dim_mismatch_reads_and_is_reported(self, tmp_path):
@@ -520,6 +520,6 @@ class TestDeliberateDifferences:
     def test_masks_read_into_the_mask_tuple(self, tmp_path):
         mask = {"height": 1, "width": 2, "values": [0.0, 1.0]}
         path = _write(tmp_path / "p.jsonl", [_rec(0), _rec(1, mask=mask)])
-        masks = formats.read_proposal_file(path).arrays.masks
+        masks = formats.read_proposal_file(path).proposals.masks
         assert masks[0] is None and isinstance(masks[1], Mask)
-        assert formats.read_proposal_file(_write(path, [_rec(0)])).arrays.masks is None
+        assert formats.read_proposal_file(_write(path, [_rec(0)])).proposals.masks is None

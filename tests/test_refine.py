@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from sinkhorn_nms import (
     frank_wolfe,
     line_search,
     lmo_entropy,
+    verification,
 )
 from sinkhorn_nms.refine import BISECT_EPS
 
@@ -188,6 +190,17 @@ class TestFrankWolfe:
         assert result.iterations <= 2
         gap = abs(float(q @ oracle.p) - result.objective_trace[-1])
         assert gap <= 1e-6 * max(1e-12, float(np.abs(q).max()))
+
+
+class TestFrankWolfeSweep:
+    def test_fails_a_refinement_that_returns_uniform(self, monkeypatch):
+        # The objective trace is left as computed: the sweep must look at p.
+        def uniform(q, params):
+            result = frank_wolfe(q, params)
+            return dataclasses.replace(result, p=SimplexVector(np.full(len(q), 1.0 / len(q))))
+
+        monkeypatch.setattr(verification, "frank_wolfe", uniform)
+        assert not any(r.passed for r in verification.frank_wolfe_sweep(trials=50))
 
 
 class TestDualityGap:
