@@ -8,10 +8,9 @@ remaining candidates, and no M x M overlap matrix is ever formed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from ._checks import check_real
 from .geometry import iou_matrix
 from .proposals import ProposalSet
 
@@ -51,10 +50,8 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
     exp(-iou^2 / sigma) against it, discarding candidates whose decayed score
     drops below ``score_floor``.
     """
-    if not 0.0 < sigma < math.inf:  # NaN fails this too
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
-    if not math.isfinite(score_floor):
-        raise ValueError(f"score_floor must be finite, got {score_floor!r}")
+    sigma = check_real("sigma", sigma, 0.0, strict=True)
+    score_floor = check_real("score_floor", score_floor)
     if len(pset) == 0:
         return pset
     boxes = pset.boxes()

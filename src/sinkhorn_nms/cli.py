@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
+from ._checks import check_int, check_real
 from .cost import CostWeights
-from .losses import LossWeights
 from .pipeline import PipelineConfig, compare, dnms
 from .proposals import SynthConfig, synth_generate, validate
 from .refine import RefineParams
@@ -227,7 +227,7 @@ def _gradcheck_section(check: GradCheckReport) -> dict:
 def _cmd_gradcheck(args) -> int:
     # Only the matching check takes --lambda-kl, and it runs second: reject a
     # bad value before the unrolled check spends its trials.
-    LossWeights(lambda_kl=args.lambda_kl)
+    check_real("lambda_kl", args.lambda_kl, 0.0)
     # All three checks run at the same sizes, temperature, iterations and step.
     shared = dict(m_max=args.m, k_max=args.k, tau=args.tau, iters=args.iters, fd_step=args.fd_step)
     common = dict(shared, trials=args.trials, threshold=args.threshold)
@@ -295,8 +295,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.m < 1 or args.k < 1 or args.reps < 1:
-        raise ValueError("m, k, and reps must all be >= 1")
+    for name in ("m", "k", "reps"):
+        check_int(name, getattr(args, name), 1)
     regions = min(args.k, args.m)
     per_region = max(1, -(-args.m // regions))
     cfg = SynthConfig(

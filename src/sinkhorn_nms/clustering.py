@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_int
 from .baselines import greedy_nms
 from .geometry import box_centers
 from .proposals import ProposalSet
@@ -93,10 +94,9 @@ def kmeans(
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
     n = pts.shape[0]
+    K = check_int("K", K, 1)
     if K > n:
         raise ValueError(f"insufficient points: K={K} > {n}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
 
     rng = SplitMix64(seed)
     centroids = np.empty((K, pts.shape[1]), dtype=np.float64)

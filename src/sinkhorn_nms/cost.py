@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_real
 from .clustering import Centroids
 from .geometry import Box, box_centers
 from .proposals import ProposalSet
@@ -34,11 +35,7 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, float(getattr(self, name)))  # as JSON takes
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("cost weights must be nonnegative")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
         if self.alpha == self.beta == self.gamma == 0.0:
             raise ValueError("cost weights must not all be zero")
 
@@ -83,8 +80,7 @@ def feature_distance(f: np.ndarray, mu: np.ndarray) -> float:
 
 def spatial_distance(box: Box, nu: tuple[float, float], image_diag: float) -> float:
     """Euclidean distance from the box center to ``nu``, over the image diagonal."""
-    if image_diag <= 0:
-        raise ValueError("image_diag must be positive")
+    image_diag = check_real("image_diag", image_diag, 0.0, strict=True)
     cx, cy = box.center
     return math.hypot(cx - nu[0], cy - nu[1]) / image_diag
 

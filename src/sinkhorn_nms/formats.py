@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from ._checks import check_int
 from .geometry import Box, Mask
 from .pipeline import PipelineConfig, PipelineDiagnostics, RefinedProposal
 from .proposals import GroundTruth, ProposalArrays, ProposalSet
@@ -81,9 +82,10 @@ def proposal_set_to_lines(pset: ProposalSet) -> list[str]:
     header = {
         "format": PROPOSALS_FORMAT,
         "version": FORMAT_VERSION,
-        "image_width": pset.image_width,
-        "image_height": pset.image_height,
-        "feature_dim": pset.feature_dim,
+        # as JSON takes them: a numpy scalar is no JSON number
+        "image_width": float(pset.image_width),
+        "image_height": float(pset.image_height),
+        "feature_dim": check_int("feature_dim", pset.feature_dim),
     }
     lines = [dumps_canonical(header)]
     a = pset.proposals

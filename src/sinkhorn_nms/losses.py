@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real
 from .geometry import Box, Mask, box_array, quality_scores, total_variation
 from .hungarian import Assignment, _smoothed_kl, kl_divergence
 from .sinkhorn import (
@@ -44,19 +45,13 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_kl", "lambda1", "lambda2"):
-            _check_weight(name, getattr(self, name))
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
-def _check_weight(name: str, val: float) -> None:
-    if not math.isfinite(val) or val < 0:
-        raise ValueError(f"{name} must be finite and nonnegative")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
 
 
 def _check_matching(values: np.ndarray, Pstar: Assignment, lambda_kl: float) -> None:
     # Checked even when lambda_kl is 0 and the matching goes unused: a
     # matching of another scene is a caller error either way.
-    _check_weight("lambda_kl", lambda_kl)
+    check_real("lambda_kl", lambda_kl, 0.0)
     if Pstar.indicator.shape != values.shape:
         raise ValueError(
             f"matching shape {Pstar.indicator.shape} does not match cost shape {values.shape}"
@@ -107,9 +102,7 @@ def bce(p: float, y: int) -> float:
 
     A non-finite ``p`` is rejected; clamping would hide it.
     """
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p!r}")
-    p = min(1.0 - BCE_EPS, max(BCE_EPS, p))
+    p = min(1.0 - BCE_EPS, max(BCE_EPS, check_real("p", p)))
     return float(-y * math.log(p) - (1 - y) * math.log(1.0 - p))
 
 
@@ -129,9 +122,9 @@ def tv_loss(masks: Sequence[Mask]) -> float:
 
 def total_loss(l_cls: float, l_match: float, l_reg: float, w: LossWeights) -> LossReport:
     """Weighted total l_cls + lambda1 * l_match + lambda2 * l_reg."""
-    for name, val in (("l_cls", l_cls), ("l_match", l_match), ("l_reg", l_reg)):
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite")
+    l_cls = check_real("l_cls", l_cls)
+    l_match = check_real("l_match", l_match)
+    l_reg = check_real("l_reg", l_reg)
     total = l_cls + w.lambda1 * l_match + w.lambda2 * l_reg
     return LossReport(
         l_cls=l_cls,

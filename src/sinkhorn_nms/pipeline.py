@@ -17,11 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._checks import check_int
 from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
 from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
 from .cost import CostWeights, build_cost, kappa
 from .geometry import Box, Mask, box_array, quality_scores
-from .proposals import GroundTruth, ProposalSet, require_int
+from .proposals import GroundTruth, ProposalSet
 from .refine import RefineParams, frank_wolfe
 from .sinkhorn import (
     Marginals,
@@ -58,12 +59,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Stored as Python ints, so a run report can echo them as JSON.
         if self.k is not None:
-            object.__setattr__(self, "k", require_int("k", self.k))
-            if self.k < 1:
-                raise ValueError("k must be >= 1")
-        object.__setattr__(self, "seed", require_int("seed", self.seed))
+            object.__setattr__(self, "k", check_int("k", self.k, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
 
 
 @dataclass(frozen=True, eq=False)

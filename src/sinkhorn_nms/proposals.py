@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .geometry import Box, Mask, iou_matrix
 from .rng import SplitMix64
 
@@ -40,14 +41,6 @@ _SIZE_HI_FRAC = 0.14
 # below this bound, which keeps the synthetic clusters separable.
 _PROTO_COS_MAX = 0.9
 _PROTO_MAX_TRIES = 1000
-
-
-def require_int(name: str, value) -> int:
-    """``value`` as an int; a float (2.0 and NaN too) is rejected by name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,16 +233,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_regions < 1 or self.proposals_per_region < 1:
-            raise ValueError("num_regions and proposals_per_region must be >= 1")
-        for name, value in (("jitter", self.jitter), ("score_noise", self.score_noise)):
-            if not 0.0 <= value < math.inf:  # NaN fails this too
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        for name, value in (("image_width", self.image_width), ("image_height", self.image_height)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # Stored as Python scalars, so the proposal file header takes them.
+        for name in ("num_regions", "proposals_per_region", "feature_dim"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        for name in ("jitter", "score_noise"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
+        for name in ("image_width", "image_height"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, strict=True))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
 
 
 def _draw_prototype(rng: SplitMix64, dim: int, existing: list[np.ndarray]) -> np.ndarray:

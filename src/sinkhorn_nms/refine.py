@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from ._checks import check_real
+
 # Bracket of the softmax multiplier lambda and the bisection width within it.
 LAMBDA_MIN = 0.001
 LAMBDA_MAX = 100.0
@@ -60,11 +62,7 @@ class RefineParams:
     tau_H: float = 0.6
 
     def __post_init__(self):
-        if not math.isfinite(self.tau_H):
-            raise ValueError(f"tau_H must be finite, got {self.tau_H!r}")
-        object.__setattr__(self, "tau_H", float(self.tau_H))  # as JSON takes
-        if self.tau_H < 0:
-            raise ValueError("tau_H must be nonnegative")
+        object.__setattr__(self, "tau_H", check_real("tau_H", self.tau_H, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ and the output is a bijective xor-multiply scramble of the new state.
 
 from __future__ import annotations
 
-import operator
+from ._checks import check_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -23,7 +23,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = operator.index(seed) & _MASK64  # a numpy int64 would overflow the &
+        self._state = check_int("seed", seed) & _MASK64  # a numpy int64 would overflow the &
 
     def next_u64(self) -> int:
         """Advance the state and return the next 64-bit output word."""
@@ -40,8 +40,7 @@ class SplitMix64:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        n = check_int("n", n, 1)
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             u = self.next_u64()

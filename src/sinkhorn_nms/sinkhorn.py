@@ -45,13 +45,12 @@ measured by the verification harness rather than assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .cost import CostMatrix, cost_values, kappa
-from .proposals import require_int
 
 # Log-domain computation is used below this temperature; the linear kernel
 # exp(-C / tau) underflows for moderate costs there.  Above it a linear run
@@ -77,15 +76,6 @@ class NumericalError(RuntimeError):
     """Raised when a solve produces non-finite intermediates."""
 
 
-def require_positive(name: str, value: float) -> None:
-    """Reject a scalar argument that is not finite and > 0, naming it.
-
-    NaN passes ``value <= 0``, so an ordering check alone lets it through.
-    """
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SinkhornParams:
     tau: float = 0.1
@@ -93,18 +83,9 @@ class SinkhornParams:
     tol: float = 1e-9
 
     def __post_init__(self):
-        # Stored as Python scalars, so a run report can echo them as JSON.
-        for name in ("tau", "tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
-        object.__setattr__(self, "iters", require_int("iters", self.iters))
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        object.__setattr__(self, "tau", check_real("tau", self.tau, 0.0, strict=True))
+        object.__setattr__(self, "iters", check_int("iters", self.iters, 1))
+        object.__setattr__(self, "tol", check_real("tol", self.tol, 0.0, strict=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +112,7 @@ class Marginals:
 
     @classmethod
     def uniform(cls, M: int, K: int) -> "Marginals":
+        M, K = check_int("M", M, 1), check_int("K", K, 1)
         return cls(np.full(M, 1.0 / M), np.full(K, 1.0 / K))
 
 
@@ -289,7 +271,7 @@ def hilbert_distance(P: np.ndarray, Q: np.ndarray) -> float:
 
 def contraction_rate(C: CostMatrix | np.ndarray, tau: float) -> float:
     """Worst-case per-pass contraction factor tanh(kappa(C) / (4 tau))."""
-    require_positive("tau", tau)
+    tau = check_real("tau", tau, 0.0, strict=True)
     return float(np.tanh(kappa(C) / (4.0 * tau)))
 
 
@@ -395,7 +377,7 @@ def grad_analytic(
     Exact when ``S`` is a single global softmax of -C / tau; for fully scaled
     couplings it is an approximation whose gap is reported by the harness.
     """
-    require_positive("tau", tau)
+    tau = check_real("tau", tau, 0.0, strict=True)
     Sm = coupling_values(S)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != Sm.shape:

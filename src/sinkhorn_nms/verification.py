@@ -19,8 +19,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import xlogy
 
+from ._checks import check_int, check_real
 from .hungarian import hungarian_solve
-from .losses import LossWeights, grad_matching_wrt_cost, matching_loss
+from .losses import grad_matching_wrt_cost, matching_loss
 from .refine import BISECT_EPS, LAMBDA_MAX, LAMBDA_MIN, RefineParams, _softmax_scaled
 from .refine import entropy, frank_wolfe
 from .rng import SplitMix64
@@ -105,6 +106,7 @@ def normalized_error(grad: np.ndarray, fd: np.ndarray) -> float:
 
 
 def _sizes(rng: SplitMix64, m_max: int, k_max: int) -> tuple[int, int]:
+    # Instances are at least 2 x 2, so m_max and k_max must be >= 2.
     return 2 + rng.randint(m_max - 1), 2 + rng.randint(k_max - 1)
 
 
@@ -126,9 +128,10 @@ def _gradcheck(
     marg)`` may draw further inputs and returns the derivative under test
     together with the scalar loss of C that it differentiates.
     """
-    threshold = fd_threshold(tau) if threshold is None else threshold
-    _check_harness_args(trials, fd_step, threshold)
-    _check_sizes(m_max=m_max, k_max=k_max)
+    trials = check_int("trials", trials, 1)
+    fd_step = check_real("fd_step", fd_step, 0.0, strict=True)
+    threshold = check_real("threshold", fd_threshold(tau) if threshold is None else threshold)
+    m_max, k_max = check_int("m_max", m_max, 2), check_int("k_max", k_max, 2)
     rng = SplitMix64(seed)
     # Early stopping is disabled: a perturbed input could otherwise change the
     # number of executed iterations and make the loss discontinuous at the
@@ -193,7 +196,7 @@ def gradcheck_matching(
     The discrete matching is frozen at the base point, matching the
     derivative's piecewise-constant treatment of it.
     """
-    LossWeights(lambda_kl=lambda_kl)  # finite and >= 0, or ValueError
+    lambda_kl = check_real("lambda_kl", lambda_kl, 0.0)
 
     def case(rng, C, params, marg):
         Pstar = hungarian_solve(C)
@@ -203,22 +206,6 @@ def gradcheck_matching(
         )
 
     return _gradcheck("matching", case, m_max, k_max, tau, iters, trials, seed, fd_step, threshold)
-
-
-def _check_harness_args(trials: int, fd_step: float, threshold: float) -> None:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not (math.isfinite(fd_step) and fd_step > 0.0):
-        raise ValueError(f"fd_step must be finite and > 0, got {fd_step}")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-
-
-def _check_sizes(**sizes: int) -> None:
-    # Instances are at least 2 x 2; a smaller bound cannot be honoured.
-    for name, size in sizes.items():
-        if size < 2:
-            raise ValueError(f"{name} must be >= 2, got {size}")
 
 
 def _step_note(fd_step: float) -> str | None:
@@ -314,9 +301,8 @@ def contraction_sweep(
     seed: int = 0,
 ) -> tuple[ContractionRow, ...]:
     """Hilbert-ratio contraction check over a grid of temperatures."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_sizes(m_max=m_max, k_max=k_max)
+    trials = check_int("trials", trials, 1)
+    m_max, k_max = check_int("m_max", m_max, 2), check_int("k_max", k_max, 2)
     # every temperature is checked before the first trial
     grid = [SinkhornParams(tau=tau, iters=CONTRACTION_ITERS) for tau in taus]
     rng = SplitMix64(seed)
@@ -348,8 +334,7 @@ def frank_wolfe_sweep(trials: int = 100, seed: int = 0) -> tuple[FrankWolfeRow, 
     a dense multiplier grid, within a bound derived from ``BISECT_EPS``.  The
     check makes no call to the oracle the refinement itself uses.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_int("trials", trials, 1)
     rng = SplitMix64(seed)
     rows = []
     for t in range(trials):

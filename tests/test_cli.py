@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -256,12 +257,13 @@ class TestGradcheck:
         report_path = tmp_path / "grad.json"
         code = run_cli("gradcheck", "--trials", 2, flag, value, "--output", report_path)
         assert code == 2
-        assert f"{field} must be finite" in capsys.readouterr().err
+        word = "positive" if math.isfinite(float(value)) else "finite"
+        assert f"{field} must be {word}" in capsys.readouterr().err
         assert not report_path.exists()
 
     @pytest.mark.parametrize("flags, field", [
         (("--lambda-kl", "nan"), "lambda_kl must be finite"),
-        (("--lambda-kl", "-1"), "lambda_kl must be finite"),
+        (("--lambda-kl", "-1"), "lambda_kl must be nonnegative, got -1.0"),
         (("--m", "0", "--k", "-3"), "m_max must be >= 2"),
         (("--k", "1"), "k_max must be >= 2"),
     ])

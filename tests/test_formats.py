@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestProposalFileRoundTrip:
         write_proposal_file(path, pset)
         assert sets_equal(pset, read_proposal_file(path))
 
+    @pytest.mark.parametrize("make", [
+        lambda: synth_generate(SynthConfig(2, 3, image_width=np.float32(640),
+                                           feature_dim=np.int64(4), seed=np.int64(1)))[0],
+        lambda: replace(synth_generate(SynthConfig(2, 3, seed=1))[0], feature_dim=np.int64(8),
+                        image_width=np.float64(640), image_height=np.float32(640)),
+    ], ids=["synth_config", "proposal_set"])
+    def test_numpy_scalar_sizes_round_trip(self, tmp_path, make):
+        # JSON takes no numpy scalar: the header writes the Python values
+        pset = make()
+        path = tmp_path / "scene.jsonl"
+        write_proposal_file(path, pset)
+        again = read_proposal_file(path)
+        assert sets_equal(pset, again)
+        assert path.read_bytes() == "".join(proposal_set_to_lines(again)).encode()
+
     @settings(max_examples=25, deadline=None)
     @given(rows=st.lists(
         st.tuples(unit_floats, wild_floats, wild_floats,
@@ -136,6 +152,12 @@ class TestProposalFileWriter:
             )
 
         assert one(np.int64(7)) == one(7)
+
+    def test_non_integer_feature_dim_is_not_written(self):
+        # feature_dim counts features: a float there is named, not written as 8.0
+        pset, _ = synth_generate(SynthConfig(1, 2, seed=1))
+        with pytest.raises(ValueError, match=r"^feature_dim must be an integer, got 8\.0"):
+            proposal_set_to_lines(replace(pset, feature_dim=8.0))
 
     def test_integers_are_written_as_floats(self):
         mask = Mask(np.array([[0, 1]]))

@@ -1,25 +1,21 @@
-"""Parameter dataclasses reject non-finite values by field name.
+"""Every scalar argument follows one rule, and array inputs reject non-finite entries.
 
-NaN passes every ordering check (``nan < 0`` and ``nan <= 0`` are both
-false), so without an explicit finiteness check a NaN entropy threshold or
-tolerance would run the pipeline and return silently wrong results.  The
-gradient-check harnesses likewise reject a finite-difference step that is
-not finite and positive, a non-finite pass threshold, a KL weight that is not
-finite and nonnegative, and a size bound below 2, before any trial; the
-convergence sweeps reject a temperature that is not finite and positive
-before the first trial at any temperature.  The functions called directly
-with a temperature and the marginals check their arguments the same way.
-A simplex vector, the refinement scores and the coupling of the KL
-divergence are rejected by name when an entry is not finite, since
-``max(0.0, nan)`` would otherwise report a NaN gap or divergence as 0.0.
-The Hilbert distance rejects a non-finite entry, which would make it NaN.
-Integer parameters (the scaling budget and the region count) reject a
-float, NaN included, by name: ``2.5 < 1`` is false, so an ordering check
-alone would let it through to ``range`` or k-means.  A numpy scalar is
-accepted and stored as the Python ``int`` or ``float``, so the run report
-can echo it.  The soft-NMS parameters and the synthetic-scene sizes and
-noise levels reject non-finite values by name, and the KL gradient rejects
-a total mass too small to divide by.
+A scalar argument must be finite, at least its lower bound (above it where
+the bound is strict) and an integer where a count or seed is meant; a
+violation raises ``ValueError`` naming the argument.  NaN passes every
+ordering check (``nan < 0`` and ``nan <= 0`` are both false), and ``2.5 < 1``
+is false too, so without these checks a NaN threshold would run the pipeline
+to a silently wrong result and a float size would reach ``range`` or
+``np.full`` and fail there with a bare ``TypeError``.  The harnesses check
+every argument before their first trial.  A numpy scalar is accepted and
+stored as the Python ``int`` or ``float``, so the run report and the proposal
+file can echo it.
+
+Array inputs (marginals, simplex vectors, refinement scores, the coupling of
+the KL divergence, the Hilbert distance's arguments) are rejected by name
+when an entry is not finite, since ``max(0.0, nan)`` would otherwise report a
+NaN gap or divergence as 0.0; the KL gradient rejects a total mass too small
+to divide by.
 """
 
 import json
@@ -44,6 +40,7 @@ from sinkhorn_nms import (
     synth_generate,
     verification,
 )
+from sinkhorn_nms.clustering import kmeans
 from sinkhorn_nms.cost import CostWeights
 from sinkhorn_nms.losses import kl_grad_wrt_assignment
 from sinkhorn_nms.refine import RefineParams
@@ -97,7 +94,8 @@ def test_gradient_check_rejects_bad_step_or_threshold(check, kwargs, name, monke
         raise AssertionError("a trial ran with an invalid argument")
 
     monkeypatch.setattr(verification, "random_matrix", trial_must_not_run)
-    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+    word = "positive" if math.isfinite(kwargs[name]) else "finite"
+    with pytest.raises(ValueError, match=rf"^{name} must be {word}"):
         check(trials=1, **kwargs)
 
 
@@ -112,7 +110,8 @@ def no_trials(monkeypatch):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 def test_matching_check_rejects_bad_lambda_kl(value, no_trials):
-    with pytest.raises(ValueError, match=r"^lambda_kl must be finite"):
+    word = "nonnegative" if math.isfinite(value) else "finite"
+    with pytest.raises(ValueError, match=rf"^lambda_kl must be {word}, got {value!r}"):
         verification.gradcheck_matching(trials=1, lambda_kl=value)
 
 
@@ -176,7 +175,8 @@ UNIFORM = np.full((2, 2), 0.25)
     lambda tau: grad_analytic(UNIFORM, tau, np.ones((2, 2))),
 ])
 def test_direct_calls_reject_bad_tau(call, value):
-    with pytest.raises(ValueError, match=r"^tau must be finite and positive"):
+    word = "positive" if math.isfinite(value) else "finite"
+    with pytest.raises(ValueError, match=rf"^tau must be {word}, got {value!r}"):
         call(value)
 
 
@@ -275,16 +275,58 @@ def test_numpy_scalars_in_a_config_give_the_python_report(numpy_cfg, python_cfg)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: soft_nms(SCENE, math.nan, 0.05), r"^sigma must be finite and positive, got nan"),
-    (lambda: soft_nms(SCENE, math.inf, 0.05), r"^sigma must be finite and positive, got inf"),
+    (lambda: soft_nms(SCENE, math.nan, 0.05), r"^sigma must be finite, got nan"),
+    (lambda: soft_nms(SCENE, math.inf, 0.05), r"^sigma must be finite, got inf"),
     (lambda: soft_nms(SCENE, 0.5, math.nan), r"^score_floor must be finite, got nan"),
     (lambda: soft_nms(SCENE, 0.5, -math.inf), r"^score_floor must be finite, got -inf"),
-    (lambda: SynthConfig(1, 1, score_noise=math.inf), r"^score_noise must be finite and nonnegative"),
-    (lambda: SynthConfig(1, 1, jitter=math.nan), r"^jitter must be finite and nonnegative"),
-    (lambda: SynthConfig(1, 1, image_width=math.inf), r"^image_width must be finite and positive"),
-    (lambda: SynthConfig(1, 1, image_height=math.nan), r"^image_height must be finite and positive"),
+    (lambda: SynthConfig(1, 1, score_noise=math.inf), r"^score_noise must be finite, got inf"),
+    (lambda: SynthConfig(1, 1, jitter=math.nan), r"^jitter must be finite, got nan"),
+    (lambda: SynthConfig(1, 1, image_width=math.inf), r"^image_width must be finite, got inf"),
+    (lambda: SynthConfig(1, 1, image_height=math.nan), r"^image_height must be finite, got nan"),
 ], ids=["soft_nms_sigma_nan", "soft_nms_sigma_inf", "soft_nms_floor_nan", "soft_nms_floor_-inf",
         "synth_score_noise_inf", "synth_jitter_nan", "synth_width_inf", "synth_height_nan"])
 def test_baseline_and_synthesis_parameters_must_be_finite(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: SynthConfig(v, 1), "num_regions"),
+    (lambda v: SynthConfig(1, v), "proposals_per_region"),
+    (lambda v: SynthConfig(1, 1, feature_dim=v), "feature_dim"),
+    (lambda v: SynthConfig(1, 1, seed=v), "seed"),
+    (lambda v: kmeans(np.eye(3), v, 0), "K"),
+    (lambda v: kmeans(np.eye(3), 2, v), "seed"),
+    (lambda v: Marginals.uniform(v, 3), "M"),
+    (lambda v: Marginals.uniform(3, v), "K"),
+    (lambda v: verification.gradcheck_unrolled(trials=v), "trials"),
+    (lambda v: verification.gradcheck_matching(trials=1, m_max=v), "m_max"),
+    (lambda v: verification.jacobian_formula_check(trials=1, k_max=v), "k_max"),
+    (lambda v: verification.contraction_sweep(trials=v), "trials"),
+    (lambda v: verification.contraction_sweep(trials=1, m_max=v), "m_max"),
+    (lambda v: verification.frank_wolfe_sweep(trials=v), "trials"),
+], ids=["synth_num_regions", "synth_per_region", "synth_feature_dim", "synth_seed",
+        "kmeans_K", "kmeans_seed", "uniform_M", "uniform_K", "gradcheck_trials",
+        "gradcheck_m_max", "jacobian_k_max", "contraction_trials", "contraction_m_max",
+        "frank_wolfe_trials"])
+@pytest.mark.parametrize("value", [3.0, 2.5, math.nan])
+def test_integer_arguments_reject_floats_by_name(call, name, value, no_trials):
+    # a float used to reach range() or np.full and raise a bare TypeError there
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}"):
+        call(value)
+
+
+@pytest.mark.parametrize("M, K, name", [(0, 3, "M"), (3, 0, "K"), (-1, 2, "M")])
+def test_uniform_marginals_reject_empty_sizes(M, K, name):
+    # 1.0 / 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+        Marginals.uniform(M, K)
+
+
+def test_synthesis_sizes_are_stored_as_python_scalars():
+    cfg = SynthConfig(np.int64(2), np.int64(3), jitter=np.float32(1.5), feature_dim=np.int64(4),
+                      image_width=np.float32(640), seed=np.uint64(7))
+    values = [cfg.num_regions, cfg.proposals_per_region, cfg.jitter, cfg.feature_dim,
+              cfg.image_width, cfg.seed]
+    assert [type(v) for v in values] == [int, int, float, int, float, int]
+    assert values == [2, 3, 1.5, 4, 640.0, 7]

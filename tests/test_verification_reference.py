@@ -3,9 +3,11 @@
 ``gradcheck_unrolled``, ``gradcheck_matching`` and ``jacobian_formula_check``
 below are the earlier stand-alone implementations, kept verbatim as the
 reference oracle.  The helpers they call did not change and are imported from
-the library.  Reports must be equal as dataclasses, which compares every
-float exactly.  The one deliberate difference: a NaN error in the first
-Jacobian trial now fails the check, where the reference dropped it.
+the library, except the argument checks of the Jacobian check, which call
+the library's scalar checks that replaced the harness's own.  Reports must
+be equal as dataclasses, which compares every float exactly.  The one
+deliberate difference: a NaN error in the first Jacobian trial now fails
+the check, where the reference dropped it.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sinkhorn_nms import verification
+from sinkhorn_nms._checks import check_int, check_real
 from sinkhorn_nms.hungarian import hungarian_solve
 from sinkhorn_nms.losses import grad_matching_wrt_cost, matching_loss
 from sinkhorn_nms.refine import _softmax_scaled
@@ -34,8 +37,6 @@ from sinkhorn_nms.verification import (
     GradCheckReport,
     GradCheckTrial,
     JacobianCheckReport,
-    _check_harness_args,
-    _check_sizes,
     _sizes,
     _step_note,
     central_difference,
@@ -144,8 +145,11 @@ def jacobian_formula_check(
     fd_step: float = DEFAULT_FD_STEP,
     threshold: float = 1e-6,
 ) -> JacobianCheckReport:
-    _check_harness_args(trials, fd_step, threshold)
-    _check_sizes(m_max=m_max, k_max=k_max)
+    check_int("trials", trials, 1)
+    check_real("fd_step", fd_step, 0.0, strict=True)
+    check_real("threshold", threshold)
+    check_int("m_max", m_max, 2)
+    check_int("k_max", k_max, 2)
     rng = SplitMix64(seed)
     softmax_err = 0.0
     sink_gap = 0.0
