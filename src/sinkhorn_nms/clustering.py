@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blocks import block_rows
 from ._checks import check_int
 from .baselines import greedy_nms
 from .geometry import box_centers
@@ -76,6 +77,50 @@ def _member_means(
     return means, counts
 
 
+def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
+    """``planes.sum(axis=0)`` in the order numpy sums a contiguous last axis.
+
+    Below 8 terms that order is left to right.  Up to 128 terms it keeps 8
+    partial sums ``r[j] += a[i + j]`` over the whole blocks of 8, combines
+    them as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds
+    the remainder left to right; above that it splits at half the count,
+    rounded down to a multiple of 8.  From 8 terms on, the sum is made in
+    ``planes[0]``, which is returned; the other planes are overwritten too.
+    """
+    n = len(planes)
+    if n < 8:
+        return planes.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(planes[:half])
+        total += _pairwise_sum(planes[half:])
+        return total
+    r = planes[:8]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        r += planes[i : i + 8]
+    r[0::2] += r[1::2]
+    r[0::4] += r[2::4]
+    total = r[0]
+    total += r[4]
+    for plane in planes[whole:]:
+        total += plane
+    return total
+
+
+def _sq_distances(pts_t: np.ndarray, cents_t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(n, K) squared distances between the columns of ``pts_t`` (D, n) and
+    ``cents_t`` (D, K), bit for bit ``((pts[:, None] - cents[None]) ** 2).sum(axis=2)``
+    of C-ordered ``pts``: one (n, K) plane per coordinate, made in the flat
+    float64 ``scratch`` of at least D * n * K entries and summed in numpy's
+    order for that axis.  The result may be a view of ``scratch``."""
+    (D, n), K = pts_t.shape, cents_t.shape[1]
+    planes = scratch[: D * n * K].reshape(D, n, K)
+    np.subtract(pts_t[:, :, None], cents_t[:, None, :], out=planes)
+    planes *= planes
+    return _pairwise_sum(planes)
+
+
 def kmeans(
     points: Sequence[Sequence[float]] | np.ndarray,
     K: int,
@@ -90,7 +135,8 @@ def kmeans(
     assignment step and is non-increasing by construction.  At most
     ``DEFAULT_MAX_ITERS`` update steps run.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    # C order fixes the order in which each distance sums its coordinates
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
     n = pts.shape[0]
@@ -106,10 +152,20 @@ def kmeans(
         centroids[k] = pts[int(np.argmax(nearest))]
         nearest = np.minimum(nearest, ((pts - centroids[k]) ** 2).sum(axis=1))
 
+    pts_t = np.ascontiguousarray(pts.T)
+    step = block_rows(n, 8 * pts.shape[1] * K)
+    scratch = np.empty(pts.shape[1] * step * K)
+
     def assign(cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        return labels, d2[np.arange(n), labels]
+        cents_t = np.ascontiguousarray(cents.T)
+        labels = np.empty(n, dtype=np.intp)
+        own_d2 = np.empty(n)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            d2 = _sq_distances(pts_t[:, rows], cents_t, scratch)
+            labels[rows] = d2.argmin(axis=1)
+            own_d2[rows] = d2[np.arange(len(d2)), labels[rows]]
+        return labels, own_d2
 
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]

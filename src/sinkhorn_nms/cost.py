@@ -105,8 +105,10 @@ def build_cost(pset: ProposalSet, cents: Centroids, w: CostWeights) -> CostMatri
     if (denom == 0.0).any():
         logger.warning("build_cost: zero feature vector(s), using neutral distance 1.0")
 
-    diffs = centers[:, None, :] - cents.spatial_centroids[None, :, :]
-    d_spatial = np.sqrt((diffs**2).sum(axis=2)) / pset.image_diag
+    nu = cents.spatial_centroids
+    dx = centers[:, :1] - nu[:, 0]
+    dy = centers[:, 1:] - nu[:, 1]
+    d_spatial = np.sqrt(dx * dx + dy * dy) / pset.image_diag
 
     values = w.alpha * (1.0 - scores)[:, None] + w.beta * d_feat + w.gamma * d_spatial
     return CostMatrix(values)

@@ -5,13 +5,18 @@ line followed by one record per line.  Numbers are serialized with Python's
 shortest round-trip float encoding, so write-then-read reproduces every value
 bit for bit.  A proposal file is written from, and read straight into, the
 arrays of a ``ProposalSet`` (no object per record), so its features must
-stack: a record whose feature shape differs from the earlier records' is a
-parse error naming its line, as is an id outside int64.  An id, label or
-``feature_dim`` that is a JSON number with a fractional part is a parse error
-too, never truncated, and so is a JSON string or boolean where a number
-belongs, never coerced.  Reports are single canonical JSON documents (sorted
-keys, fixed separators, trailing newline), which makes equal runs
-byte-identical.
+stack.  The reader decodes each line on its own, streams the four fields
+into one list per column, and checks and stacks each column once; a file
+that is irregular in any way (a mask, an id that is no JSON integer inside
+int64, a string or boolean in a numeric field, ragged or nested features, a
+bad box, no records) is read again by the per-record loop, which gives the
+same arrays and is the only path that raises.  There a record whose feature
+shape differs from the earlier records' is a parse error naming its line,
+as is an id outside int64.  An id, label or ``feature_dim`` that is a JSON
+number with a fractional part is a parse error too, never truncated, and so
+is a JSON string or boolean where a number belongs, never coerced.  Reports
+are single canonical JSON documents (sorted keys, fixed separators, trailing
+newline), which makes equal runs byte-identical.
 
 Proposal and ground-truth files are at ``FORMAT_VERSION`` 1.  Run reports are
 at ``RUN_REPORT_VERSION`` 2: a refined record carries its dense
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -47,6 +53,8 @@ RUN_REPORT_FORMAT = "run-report"
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # what ``json.loads`` gives for a JSON number; ``bool`` is not one
 _NUMBER_TYPES = frozenset((int, float))
+_decode = json.JSONDecoder().raw_decode
+_fields = itemgetter("box", "id", "score", "feature")
 
 
 class ProposalFileError(ValueError):
@@ -144,13 +152,16 @@ def _read_header(path: str | Path, fmt: str) -> tuple[dict, list[str]]:
 def read_proposal_file(path: str | Path) -> ProposalSet:
     """Parse a proposal file straight into the arrays of a ``ProposalSet``.
 
-    No ``Proposal`` or ``Box`` is built per record.  Each record is converted
-    in the order box, mask, id, score, feature, and the first failure raises
-    ``ProposalFileError`` naming its line, as does a string or boolean in a
-    numeric field, an id with a fractional part or outside int64 and a feature
-    whose shape differs from the earlier records'.  Value checks that do not
-    stop stacking (scores, box extents, a uniform ``feature_dim`` mismatch)
-    are left to :func:`~sinkhorn_nms.proposals.validate`.
+    No ``Proposal`` or ``Box`` is built per record.  The records of a regular
+    file are read column by column (:func:`_read_columns`); any other file is
+    read by the per-record loop :func:`_read_records`, which gives the same
+    arrays and is the only path that raises for a record.  It converts each
+    record in the order box, mask, id, score, feature, and the first failure
+    raises ``ProposalFileError`` naming its line, as does a string or boolean
+    in a numeric field, an id with a fractional part or outside int64 and a
+    feature whose shape differs from the earlier records'.  Value checks that
+    do not stop stacking (scores, box extents, a uniform ``feature_dim``
+    mismatch) are left to :func:`~sinkhorn_nms.proposals.validate`.
     """
     header, lines = _read_header(path, PROPOSALS_FORMAT)
     try:
@@ -159,6 +170,78 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
         feature_dim = _whole(header["feature_dim"], "feature_dim")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProposalFileError(1, f"malformed header: {exc}") from exc
+    arrays = _read_columns(lines)
+    if arrays is None:
+        arrays = _read_records(lines)
+    return ProposalSet(
+        proposals=arrays,
+        image_width=image_width,
+        image_height=image_height,
+        feature_dim=feature_dim,
+    )
+
+
+def _read_columns(lines: list[str]) -> ProposalArrays | None:
+    """The records after the header as arrays, or ``None`` if they are irregular.
+
+    Each line is decoded on its own and its four fields go to one flat list
+    per column; each column is then checked and stacked once.  Regular means
+    at least one record, every non-blank line one JSON object and nothing
+    else, no mask, ids JSON integers inside int64, scores numbers, boxes four
+    numbers each, finite with ``x1 <= x2`` and ``y1 <= y2``, and features
+    lists of numbers of one length.  For such records the arrays equal
+    :func:`_read_records`' byte for byte; anything else is left to it.
+    """
+    ids, scores, boxes, features, box_sizes, feature_sizes = [], [], [], [], [], []
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        try:
+            # json.loads without its whitespace handling; padding is irregular
+            rec, end = _decode(line)
+            if end != len(line) or type(rec) is not dict or "mask" in rec:
+                return None
+            box, ident, score, feature = _fields(rec)
+            # Flat columns: no container outlives its line.  Kept lists, one
+            # per record, were promoted by the garbage collector and set off a
+            # full collection in about one of 15 runs on 2048 records.
+            boxes.extend(box)
+            box_sizes.append(len(box))
+            features.extend(feature)
+            feature_sizes.append(len(feature))
+        except (ValueError, KeyError, TypeError):  # bad JSON, no such key, no list
+            return None
+        ids.append(ident)
+        scores.append(score)
+    # The element types also rule out a box or feature that is a string or
+    # an object (its characters or keys) and nested lists; a bool is no int
+    # here, and neither is an integer-valued float.
+    regular = (
+        ids
+        and set(map(type, ids)) == {int}
+        and _INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX
+        and _NUMBER_TYPES.issuperset(map(type, scores))
+        and set(box_sizes) == {4} and _NUMBER_TYPES.issuperset(map(type, boxes))
+        and len(set(feature_sizes)) == 1 and _NUMBER_TYPES.issuperset(map(type, features))
+    )
+    if not regular:
+        return None
+    try:
+        score_col = np.array(scores, dtype=np.float64)
+        box_col = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        feature_col = np.array(features, dtype=np.float64).reshape(len(ids), feature_sizes[0])
+    except OverflowError:  # an integer beyond the float range
+        return None
+    # NaN fails the ordering too
+    if not (np.isfinite(box_col).all() and (box_col[:, 0] <= box_col[:, 2]).all()
+            and (box_col[:, 1] <= box_col[:, 3]).all()):
+        return None
+    return ProposalArrays(ids=np.array(ids, dtype=np.int64), scores=score_col,
+                          boxes=box_col, features=feature_col)
+
+
+def _read_records(lines: list[str]) -> ProposalArrays:
+    """The records after the header as arrays, converted one record at a time."""
     ids, scores, boxes, features, masks = [], [], [], [], []
     shape = None
     for line_no, line in enumerate(lines[1:], start=2):
@@ -193,18 +276,12 @@ def read_proposal_file(path: str | Path) -> ProposalSet:
         ids.append(ident)
         scores.append(score)
         features.append(feature)
-    arrays = ProposalArrays(
+    return ProposalArrays(
         ids=np.array(ids, dtype=np.int64),
         scores=np.array(scores, dtype=np.float64),
         boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
         features=np.array(features, dtype=np.float64) if features else np.empty((0, 0)),
         masks=tuple(masks) if any(m is not None for m in masks) else None,
-    )
-    return ProposalSet(
-        proposals=arrays,
-        image_width=image_width,
-        image_height=image_height,
-        feature_dim=feature_dim,
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._blocks import block_rows
 from ._checks import check_int
 from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
 from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
@@ -91,12 +92,22 @@ def _combine(values: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
 
     Each row is centred on its heaviest contributor, which keeps the
     combination bit-exact when all contributors coincide; the clip enforces
-    the convex envelope against rounding.
+    the convex envelope against rounding.  Rows go in blocks through one
+    scratch buffer, each row's (M, ...) temporary one ``values`` in size; a
+    row's sum does not depend on the block it is in.
     """
-    base = values[np.argmax(W, axis=1)]
-    diff = values[None] - base[:, None]
-    diff *= W.reshape(W.shape + (1,) * (values.ndim - 1))
-    return np.clip(base + diff.sum(axis=1), lo, hi)
+    K = len(W)
+    step = block_rows(K, values.nbytes)
+    scratch = np.empty((step,) + values.shape)
+    out = np.empty((K,) + values.shape[1:])
+    for start in range(0, K, step):
+        rows = slice(start, start + step)
+        Wb = W[rows]
+        base = values[np.argmax(Wb, axis=1)]
+        diff = np.subtract(values[None], base[:, None], out=scratch[: len(Wb)])
+        diff *= Wb.reshape(Wb.shape + (1,) * (values.ndim - 1))
+        out[rows] = base + diff.sum(axis=1)
+    return np.clip(out, lo, hi)
 
 
 def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[RefinedProposal]:

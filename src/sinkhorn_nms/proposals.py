@@ -320,13 +320,19 @@ def validate(pset: ProposalSet) -> list[str]:
     """Return human-readable descriptions of every invariant violation.
 
     An empty list means the set is well-formed.  The checks run on the
-    arrays; messages come in proposal order, each proposal's in the order
-    duplicate id, score, box corners, box extent, feature.
+    arrays; an image size that is not finite and positive and a
+    ``feature_dim`` that is no integer (which the proposal writer rejects)
+    come first, then the messages in proposal order, each proposal's in the
+    order duplicate id, score, box corners, box extent, feature.
     """
     violations: list[str] = []
     W, H = pset.image_width, pset.image_height
     if not (0.0 < W < math.inf and 0.0 < H < math.inf):
         violations.append(f"image size {W}x{H} must be finite and positive")
+    try:
+        check_int("feature_dim", pset.feature_dim)
+    except ValueError as exc:
+        violations.append(str(exc))
     if len(pset) == 0:
         violations.append("proposal set is empty")
         return violations

@@ -4,19 +4,40 @@ The functions below ``# reference implementations`` are the earlier
 ``aggregate``, which weighted boxes, scores and features one column at a
 time, kept verbatim as the oracle.  Boxes, scores, features, source weights
 and masks must agree byte for byte, and both must raise the same exception
-with the same message.
+with the same message, also when the regions span several row blocks: on
+the generated scenes with a smaller block budget, and on 2048-proposal
+scenes with the library's budget.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkhorn_nms import Box, Mask, Proposal, ProposalSet, RefinedProposal, SoftAssignment
-from sinkhorn_nms import pipeline
+from sinkhorn_nms import (
+    Box,
+    Mask,
+    Proposal,
+    ProposalSet,
+    RefinedProposal,
+    SinkhornParams,
+    SoftAssignment,
+    SynthConfig,
+    _blocks,
+    build_cost,
+    init_centroids,
+    pipeline,
+    solve,
+    synth_generate,
+)
+from sinkhorn_nms.cost import CostWeights
+from sinkhorn_nms.sinkhorn import Marginals
 
 # reference implementations
 
@@ -192,3 +213,26 @@ def test_aggregate_matches_reference(scene):
     S, pset = scene
     assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes(), st.sampled_from([8, 100, 1000]))
+def test_aggregate_matches_reference_in_row_blocks(scene, block_bytes):
+    # A smaller budget takes the regions in blocks of one or a few rows.
+    S, pset = scene
+    with patch.object(_blocks, "BLOCK_BYTES", block_bytes):
+        assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)
+
+
+@pytest.mark.parametrize("K", [31, 150])
+def test_aggregate_matches_reference_on_cli_scenes(K):
+    # 2048 proposals with F 8; at K 150 the one-column scores span several
+    # row blocks too.
+    pset, _ = synth_generate(SynthConfig(num_regions=32, proposals_per_region=64, jitter=4.0,
+                                         score_noise=0.05, seed=1))
+    S = solve(build_cost(pset, init_centroids(pset, K, 1), CostWeights()),
+              SinkhornParams(), Marginals.uniform(len(pset), K))
+    blocks = [math.ceil(K / _blocks.block_rows(K, v.nbytes))
+              for v in (pset.boxes(), pset.scores(), pset.features())]
+    assert blocks == ([2, 1, 4] if K == 31 else [10, 3, 19])
+    assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)

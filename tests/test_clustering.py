@@ -42,6 +42,20 @@ class TestKMeans:
         assert np.array_equal(r1.assignment, r2.assignment)
         assert r1.wcss == r2.wcss
 
+    def test_independent_of_memory_layout(self):
+        # a Fortran-ordered or strided copy of the points clusters bit for bit
+        # as the C-ordered one: each squared distance sums its 12 coordinates
+        # in one order
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            pts = rng.normal(size=(60, 12)) * 10.0 ** rng.integers(-3, 3, size=(60, 12))
+            want = kmeans(pts, 5, seed)
+            for other in (np.asfortranarray(pts), np.repeat(pts, 2, axis=1)[:, ::2]):
+                got = kmeans(other, 5, seed)
+                assert got.centroids.tobytes() == want.centroids.tobytes()
+                assert np.array_equal(got.assignment, want.assignment)
+                assert got.wcss == want.wcss
+
     def test_wcss_trace_non_increasing(self):
         rng = np.random.default_rng(7)
         for trial in range(10):

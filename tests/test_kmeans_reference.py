@@ -1,15 +1,20 @@
-"""The one-scatter-add member means of ``kmeans`` against the loop they replaced.
+"""``kmeans`` and the spatial cost term against the code they replaced.
 
 ``kmeans`` below is the earlier implementation, which took each cluster's
 mean with its own ``pts[labels == k].mean(axis=0)`` in the Lloyd update and
-in the final pass, kept verbatim as the reference oracle.  Both must return
-the same centroid bytes, the same assignment and the same ``wcss`` bits,
-also when duplicate points leave clusters empty and get them re-seeded,
-when entries are ``±0.0`` and when the iteration budget runs out mid-update.
+in the final pass, and each squared distance from an (M, K, D) broadcast,
+kept verbatim as the reference oracle.  Both must return the same centroid
+bytes, the same assignment and the same ``wcss`` bits, also when duplicate
+points leave clusters empty and get them re-seeded, when entries are
+``±0.0``, when the iteration budget runs out mid-update, for point
+dimensions in every branch of numpy's summation order and when the points
+span several row blocks.  The distance kernel and ``build_cost``'s spatial
+term are checked byte for byte against the broadcasts they replaced.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 from unittest.mock import patch
 
@@ -18,8 +23,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sinkhorn_nms import SynthConfig, clustering, synth_generate
-from sinkhorn_nms.clustering import DEFAULT_MAX_ITERS, KMeansResult
+from sinkhorn_nms import (
+    Centroids,
+    CostWeights,
+    ProposalArrays,
+    ProposalSet,
+    SynthConfig,
+    _blocks,
+    build_cost,
+    clustering,
+    synth_generate,
+)
+from sinkhorn_nms.clustering import DEFAULT_MAX_ITERS, KMeansResult, _sq_distances
 from sinkhorn_nms.geometry import box_centers
 from sinkhorn_nms.rng import SplitMix64
 
@@ -149,3 +164,87 @@ def test_matches_reference_oracle_on_training_scenes():
         joint = np.hstack([box_centers(pset.boxes()) / pset.image_diag, pset.features()])
         for max_iters in (1, DEFAULT_MAX_ITERS):
             assert_same_as_reference(joint, 16, seed, max_iters)
+
+
+# the distance kernel and the spatial cost term
+
+# D from each branch of numpy's order for summing a contiguous axis: left to
+# right below 8 terms, 8 partial sums over one, two or more whole blocks of 8,
+# and the split in halves above 128 terms
+DIMS = st.one_of(st.integers(0, 7), st.integers(8, 15), st.integers(16, 23),
+                 st.integers(24, 64), st.integers(129, 140))
+
+
+@st.composite
+def coordinates(draw, shape):
+    """Normal draws scaled entry by entry from 1e-150 to 1e150, some ``±0.0``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = rng.choice([1e-150, 1e-40, 1e-3, 1.0, 1e3, 1e40, 1e150], size=shape)
+    values = rng.normal(size=shape) * scale
+    zero = rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))
+    return np.where(zero, np.where(rng.random(shape) < 0.5, -0.0, 0.0), values)
+
+
+def broadcast_distances(pts, cents):
+    """The (M, K, D) expression that the Lloyd step and the tests above used."""
+    return ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distance_kernel_matches_the_broadcast(data):
+    D = data.draw(DIMS)
+    pts = data.draw(coordinates((data.draw(st.integers(1, 12)), D)))
+    cents = data.draw(coordinates((data.draw(st.integers(1, 6)), D)))
+    # in a larger scratch buffer that holds stale values
+    scratch = np.full(pts.size * len(cents) + 5, np.nan)
+    got = _sq_distances(np.ascontiguousarray(pts.T), np.ascontiguousarray(cents.T), scratch)
+    want = broadcast_distances(pts, cents)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def wide_problems(draw):
+    pool = draw(coordinates((draw(st.integers(1, 8)), draw(DIMS))))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    points = pool[picks]
+    K = draw(st.integers(1, min(len(points), 8)))
+    max_iters = draw(st.sampled_from([1, 2, DEFAULT_MAX_ITERS]))
+    return points, K, draw(st.integers(0, 2**32)), max_iters
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_problems(), st.sampled_from([8, 1024, 16384]))
+def test_matches_reference_oracle_in_row_blocks(problem, block_bytes):
+    # A smaller budget takes the points in blocks of one or a few rows.
+    with patch.object(_blocks, "BLOCK_BYTES", block_bytes):
+        assert_same_as_reference(*problem)
+
+
+def test_matches_reference_oracle_on_the_cli_scene():
+    pset, _ = synth_generate(SynthConfig(num_regions=32, proposals_per_region=64, jitter=4.0,
+                                         score_noise=0.05, seed=1))
+    joint = np.hstack([box_centers(pset.boxes()) / pset.image_diag, pset.features()])
+    # 2048 joint points of D 10 at K 31
+    assert math.ceil(2048 / _blocks.block_rows(2048, 8 * 10 * 31)) == 5
+    assert_same_as_reference(joint, 31, 1, DEFAULT_MAX_ITERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spatial_cost_term_matches_the_broadcast(data):
+    M, K = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 8))
+    corners = data.draw(coordinates((M, 2)))
+    sizes = np.abs(data.draw(coordinates((M, 2))))
+    boxes = np.hstack([corners, corners + sizes])
+    arrays = ProposalArrays(ids=np.arange(M), scores=np.full(M, 0.5), boxes=boxes,
+                            features=np.ones((M, 1)))
+    pset = ProposalSet(proposals=arrays, image_width=640.0, image_height=480.0, feature_dim=1)
+    nu = data.draw(coordinates((K, 2)))
+    cents = Centroids(feature_centroids=np.ones((K, 1)), spatial_centroids=nu)
+    # with only gamma, each entry is +0.0 + +0.0 + the spatial term
+    got = build_cost(pset, cents, CostWeights(alpha=0.0, beta=0.0, gamma=1.0)).values
+    diffs = box_centers(boxes)[:, None, :] - nu[None, :, :]
+    want = np.sqrt((diffs**2).sum(axis=2)) / pset.image_diag
+    assert got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -186,6 +187,21 @@ class TestValidate:
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=5))
         violations = validate(dataclasses.replace(pset, proposals=()))
         assert violations == ["proposal set is empty"]
+
+    @pytest.mark.parametrize("dim", [8.0, 8.5, float("nan"), "8"])
+    def test_feature_dim_that_is_no_integer(self, dim):
+        # the proposal writer rejects such a set, so validate must not pass it
+        pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=2, seed=5))
+        bad = dataclasses.replace(pset, feature_dim=dim)
+        assert validate(bad)[0] == f"feature_dim must be an integer, got {dim!r}"
+        with pytest.raises(ValueError, match=re.escape(validate(bad)[0])):
+            proposal_set_to_lines(bad)
+
+    def test_numpy_integer_feature_dim_is_valid(self):
+        pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=2, seed=5))
+        good = dataclasses.replace(pset, feature_dim=np.int64(8))
+        assert validate(good) == []
+        assert proposal_set_to_lines(good) == proposal_set_to_lines(pset)
 
 
 def test_proposal_feature_coerced_to_array():
