@@ -1,7 +1,7 @@
 """Row blocks that bound the temporaries of the blocked array kernels.
 
-A kernel that would broadcast to a 3-d temporary (k-means distances,
-aggregation) takes its rows in blocks whose temporaries fit in
+A kernel that would broadcast to a 3-d temporary (the k-means distances)
+takes its rows in blocks whose temporaries fit in
 ``BLOCK_BYTES``, so that they stay in cache and the allocator need not keep
 a large arena; one scratch buffer serves every block of a call.  At the
 desk-scale point (256 x 16) every kernel is a single block.

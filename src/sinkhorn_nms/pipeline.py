@@ -2,9 +2,9 @@
 
 The pipeline clusters proposals into K latent regions, builds the assignment
 cost matrix, solves for the soft assignment with uniform marginals,
-aggregates the proposals of all regions in one contraction with the
-normalized assignment weights (masks one region at a time), and refines
-per-region probabilities under the entropy constraint.  With ground truth
+aggregates the proposals of all regions with one matrix product of the
+normalized assignment weights (one more for masks), and refines per-region
+probabilities under the entropy constraint.  With ground truth
 present the refinement objective uses box-overlap quality scores; at
 inference the aggregated scores stand in for them.
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._blocks import block_rows
 from ._checks import check_int
 from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
 from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
@@ -88,43 +87,38 @@ class MethodMetrics:
 
 
 def _combine(values: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
-    """Each row of ``W`` as convex weights over ``values``, clipped to ``[lo, hi]``.
+    """Each row of ``W`` as convex weights over the rows of ``values``, clipped to ``[lo, hi]``.
 
-    Each row is centred on its heaviest contributor, which keeps the
-    combination bit-exact when all contributors coincide; the clip enforces
-    the convex envelope against rounding.  Rows go in blocks through one
-    scratch buffer, each row's (M, ...) temporary one ``values`` in size; a
-    row's sum does not depend on the block it is in.
+    One matrix product gives both ``W @ values`` and ``W @ |values|``.  Each
+    row is taken relative to its heaviest contributor, ``base``, and a
+    difference ``W @ values - W.sum(1) * base`` within the product's own
+    rounding bound ``(M + 2) * eps * (W @ |values|)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1) is dropped, so a row
+    whose weight sits on coincident values gets that value exactly.  The clip
+    enforces the convex envelope against rounding.
     """
-    K = len(W)
-    step = block_rows(K, values.nbytes)
-    scratch = np.empty((step,) + values.shape)
-    out = np.empty((K,) + values.shape[1:])
-    for start in range(0, K, step):
-        rows = slice(start, start + step)
-        Wb = W[rows]
-        base = values[np.argmax(Wb, axis=1)]
-        diff = np.subtract(values[None], base[:, None], out=scratch[: len(Wb)])
-        diff *= Wb.reshape(Wb.shape + (1,) * (values.ndim - 1))
-        out[rows] = base + diff.sum(axis=1)
-    return np.clip(out, lo, hi)
+    M, D = values.shape
+    prod = W @ np.hstack((values, np.abs(values)))
+    base = values[np.argmax(W, axis=1)]
+    delta = prod[:, :D] - W.sum(axis=1)[:, None] * base
+    delta[np.abs(delta) <= (M + 2) * np.finfo(np.float64).eps * prod[:, D:]] = 0.0
+    return np.clip(base + delta, lo, hi)
 
 
 def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[RefinedProposal]:
     """Collapse proposals into one refined proposal per latent region.
 
     Column k of the assignment is renormalized to sum to one and used as
-    convex-combination weights for boxes, scores, features, and masks.
-    Proposals without masks contribute nothing to the mask average; if no
-    contributor has a mask the refined mask is absent.
+    convex-combination weights for boxes, scores, features, and masks: one
+    :func:`_combine` product for the boxes, scores and features side by side,
+    clipped to their column envelope, and one for the masks.  Proposals
+    without masks contribute nothing to the mask average; if no contributor
+    has a mask the refined mask is absent.
     """
     Sm = coupling_values(S)
     M, K = Sm.shape
     if M != len(pset):
         raise ValueError(f"assignment has {M} rows but the set has {len(pset)} proposals")
-    boxes = pset.boxes()
-    scores = pset.scores()[:, None]
-    feats = pset.features()
     mask_list = pset.proposals.masks or ()
     carriers = [i for i, m in enumerate(mask_list) if m is not None]
     grids = [mask_list[i].values for i in carriers]
@@ -139,25 +133,20 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     if K == 0:
         return []
     W = St / totals[:, None]
-    # The envelope is repeated per row: np.clip resolves a tie between +0.0
-    # and -0.0 differently when one bound value spans its whole inner loop.
-    box_vals, score_vals, feat_vals = (
-        _combine(v, W, np.tile(v.min(axis=0), (K, 1)), np.tile(v.max(axis=0), (K, 1)))
-        for v in (boxes, scores, feats)
-    )
-    # Masks go one column at a time: a (K, M, H, W) stack has no size bound.
+    fields = np.hstack((pset.boxes(), pset.scores()[:, None], pset.features()))
+    out = _combine(fields, W, fields.min(axis=0), fields.max(axis=0))
     masks: list[Mask | None] = [None] * K
     if carriers:
-        stack = np.stack(grids)
-        for k in range(K):
-            sub = W[k, carriers]
-            total = sub.sum()
-            if total <= 0.0:
-                continue
-            masks[k] = Mask(_combine(stack, (sub / total)[None], 0.0, 1.0)[0])
+        sub = W[:, carriers]
+        sub_totals = sub.sum(axis=1)
+        rows = np.flatnonzero(sub_totals > 0.0)
+        stack = np.stack(grids).reshape(len(grids), -1)
+        values = _combine(stack, sub[rows] / sub_totals[rows, None], 0.0, 1.0)
+        for k, v in zip(rows, values):
+            masks[k] = Mask(v.reshape(grids[0].shape))
     return [
-        RefinedProposal(box=Box(*b), score=float(s), feature=f, mask=m, source_weights=w)
-        for b, s, f, m, w in zip(box_vals, score_vals[:, 0], feat_vals, masks, W)
+        RefinedProposal(box=Box(*b), score=s, feature=f, mask=m, source_weights=w)
+        for b, s, f, m, w in zip(out[:, :4].tolist(), out[:, 4].tolist(), out[:, 5:], masks, W)
     ]
 
 

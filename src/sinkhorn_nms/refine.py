@@ -3,11 +3,12 @@
 The problem is to maximize the linear objective <q, p> over the probability
 simplex intersected with the entropy superlevel set {H(p) >= tau_H}.  The
 linear maximization oracle has the closed form softmax(q / lambda); the
-multiplier lambda is found by bisection so that the entropy constraint is
+multiplier lambda is found by safeguarded Newton steps inside a bracket, with
+a bisection's stopping rule and guarantee, so that the entropy constraint is
 met, and the conditional-gradient loop with exact line search reaches the
 optimum of the linear objective in at most two iterations, so it runs at
-most two.  Only ``tau_H`` is settable; the bisection and stopping numerics
-are module constants.
+most two.  Only ``tau_H`` is settable; the bracket and stopping numerics are
+module constants.
 
 Entropy is measured in nats throughout.
 """
@@ -23,7 +24,7 @@ from scipy.special import xlogy
 
 from ._checks import check_real
 
-# Bracket of the softmax multiplier lambda and the bisection width within it.
+# Bracket of the softmax multiplier lambda and the width at which its search stops.
 LAMBDA_MIN = 0.001
 LAMBDA_MAX = 100.0
 BISECT_EPS = 1e-6
@@ -89,9 +90,18 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
     """Feasible maximizer of <q, s> over the entropy-constrained simplex.
 
     If the softmax at ``LAMBDA_MIN`` already meets the entropy target it is
-    returned directly; otherwise lambda is bisected until the bracket width
-    drops below ``BISECT_EPS`` and the larger-lambda endpoint is returned, so
-    the entropy constraint holds exactly on the output.  When the target is
+    returned directly.  Otherwise lambda solves ``H(softmax(q / lambda)) =
+    tau_H`` by Newton steps in log lambda, where the slope of H is
+    ``Var_p(q) / lambda**2``, starting from the infeasible end of the bracket
+    ``[LAMBDA_MIN, LAMBDA_MAX]``; each evaluated point replaces the bracket
+    end on its side.  A step that leaves the bracket, or that is longer than
+    half the move before last (the safeguard of Numerical Recipes'
+    ``rtsafe``), is replaced by the geometric midpoint, and a step ending
+    within ``BISECT_EPS`` of an end probes ``BISECT_EPS`` from that end.  As
+    in a bisection, the loop stops once the bracket is at most ``BISECT_EPS``
+    wide and returns the softmax at its larger-lambda end, so the entropy
+    constraint holds exactly on the output and lambda lies within
+    ``BISECT_EPS`` of a crossing of the target.  When the target is
     unreachable even at ``LAMBDA_MAX`` the uniform vector is returned with an
     :class:`UnreachableEntropyWarning`.
     """
@@ -113,7 +123,8 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
 
     lo, hi = LAMBDA_MIN, LAMBDA_MAX
     s_lo = _softmax_scaled(q, lo)
-    if entropy(s_lo) >= params.tau_H:
+    h = entropy(s_lo)
+    if h >= params.tau_H:
         return SimplexVector(s_lo)
     s_hi = _softmax_scaled(q, hi)
     if entropy(s_hi) < params.tau_H:
@@ -122,13 +133,44 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
             UnreachableEntropyWarning,
         )
         return SimplexVector(uniform)
+    # Scores rescaled to [0, 1], so that their variance cannot overflow.
+    q_min = q.min()
+    spread = float(q.max() - q_min)
+    u = (q - q_min) / spread
+    lam, p, newton = lo, s_lo, True
+    last = before = math.log(hi / lo)  # lengths in log lambda of the last two moves
     while hi - lo > BISECT_EPS:
-        mid = 0.5 * (lo + hi)
-        if entropy(_softmax_scaled(q, mid)) < params.tau_H:
-            lo = mid
+        step = math.inf
+        if newton:
+            d = u - p @ u
+            slope = float(p @ (d * d)) * (spread / lam) * (spread / lam)
+            if slope > 0.0:
+                step = (params.tau_H - h) / slope
+        if math.log(lo / lam) <= step <= math.log(hi / lam) and 2.0 * abs(step) <= before:
+            new = lam * math.exp(step)
         else:
-            hi = mid
-    return SimplexVector(_softmax_scaled(q, hi))
+            new = math.sqrt(lo * hi)
+        # A step ending within BISECT_EPS of an end probes BISECT_EPS from it,
+        # which closes the bracket if the root lies in between; if it does
+        # not, H is flat to rounding there and the next step is a midpoint.
+        probe = min(max(new, _within_eps(lo, 1.0)), _within_eps(hi, -1.0))
+        newton = probe == new
+        if not lo < probe < hi:
+            probe = 0.5 * (lo + hi)
+        before, last, lam = last, abs(math.log(probe / lam)), probe
+        p = _softmax_scaled(q, lam)
+        h = entropy(p)
+        if h < params.tau_H:
+            lo = lam
+        else:
+            hi, s_hi = lam, p
+    return SimplexVector(s_hi)
+
+
+def _within_eps(end: float, direction: float) -> float:
+    """The float ``BISECT_EPS`` from ``end`` in ``direction``, rounded toward ``end``."""
+    x = end + direction * BISECT_EPS
+    return x if abs(x - end) <= BISECT_EPS else math.nextafter(x, end)
 
 
 def line_search(p: SimplexVector, s: SimplexVector, q: np.ndarray) -> float:

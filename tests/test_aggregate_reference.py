@@ -1,19 +1,24 @@
-"""Agreement of the one-contraction ``aggregate`` with its per-column loop.
+"""Agreement of the matrix-product ``aggregate`` with its per-column loop.
 
 The functions below ``# reference implementations`` are the earlier
 ``aggregate``, which weighted boxes, scores and features one column at a
-time, kept verbatim as the oracle.  Boxes, scores, features, source weights
-and masks must agree byte for byte, and both must raise the same exception
-with the same message, also when the regions span several row blocks: on
-the generated scenes with a smaller block budget, and on 2048-proposal
-scenes with the library's budget.
+time, kept verbatim as the oracle.  The current ``aggregate`` forms every
+region's combination in one matrix product, whose sums run in another order,
+so the two agree within a stated bound rather than bitwise.  With M the
+number of proposals, eps the float64 machine epsilon and ``max|v|`` the
+largest magnitude among a field's inputs (boxes, scores, features, or the
+carriers' mask cells), every aggregated value lies within
+``BOUND * M * eps * max|v|`` of the oracle's.  ``BOUND`` is about twice the
+largest ratio seen, 0.62, over 100 000 generated scenes.
+
+Both must still agree exactly on the rest: the ``source_weights`` rows, which
+masks are absent, the exception and its message, and every byte of a region
+whose contributors are all copies of one proposal.
 """
 
 from __future__ import annotations
 
-import math
 import struct
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,7 +34,6 @@ from sinkhorn_nms import (
     SinkhornParams,
     SoftAssignment,
     SynthConfig,
-    _blocks,
     build_cost,
     init_centroids,
     pipeline,
@@ -38,6 +42,9 @@ from sinkhorn_nms import (
 )
 from sinkhorn_nms.cost import CostWeights
 from sinkhorn_nms.sinkhorn import Marginals
+
+EPS = float(np.finfo(np.float64).eps)
+BOUND = 1.25
 
 # reference implementations
 
@@ -138,6 +145,44 @@ def _outcome(fn, S, pset):
         return type(exc), str(exc)
 
 
+def _fields(r: RefinedProposal) -> tuple:
+    return np.array([r.box.x1, r.box.y1, r.box.x2, r.box.y2]), np.array([r.score]), r.feature, r.mask
+
+
+def deviation(S, pset) -> float:
+    """Largest ``|new - oracle| / (M eps max|v|)`` over every aggregated value.
+
+    Asserts that everything else agrees exactly: the exception and its
+    message, the number of regions, the ``source_weights`` bytes, and which
+    masks are absent and their shapes.
+    """
+    try:
+        ref = aggregate(S, pset)
+    except Exception as exc:  # the exception itself is the compared outcome
+        with pytest.raises(type(exc)) as info:
+            pipeline.aggregate(S, pset)
+        assert str(info.value) == str(exc)
+        return 0.0
+    out = pipeline.aggregate(S, pset)
+    assert len(out) == len(ref)
+    masks = [p.mask.values for p in pset if p.mask is not None]
+    scales = [np.abs(v).max() if v.size else 0.0
+              for v in (pset.boxes(), pset.scores(), pset.features(), np.array(masks))]
+    worst = 0.0
+    for r, o in zip(ref, out):
+        assert o.source_weights.tobytes() == r.source_weights.tobytes()
+        assert (o.mask is None) == (r.mask is None)
+        for a, b, scale in zip(_fields(o), _fields(r), scales):
+            if b is None:
+                continue
+            a, b = (a.values, b.values) if isinstance(b, Mask) else (a, b)
+            assert a.shape == b.shape
+            diff = np.abs(a - b).max(initial=0.0)
+            if diff:
+                worst = max(worst, diff / (len(pset) * EPS * scale))
+    return worst
+
+
 @st.composite
 def scenes(draw):
     M = draw(st.integers(0, 40))
@@ -207,32 +252,59 @@ def scenes(draw):
     return S, pset
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=700, deadline=None)
 @given(scenes())
 def test_aggregate_matches_reference(scene):
     S, pset = scene
-    assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)
+    assert deviation(S, pset) <= BOUND
 
+
+@st.composite
+def copies_scenes(draw):
+    """Distinct proposals, each repeated; every region weighs copies of one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    repeats = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 8))
+    F = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([(1, 1), (2, 3)]))
+
+    def signed(v):
+        return np.where(rng.random(v.shape) < 0.3, -0.0, v)
+
+    originals = []
+    for i in range(n):
+        x1, y1 = signed(rng.uniform(0.0, 100.0, 2))
+        w, h = rng.uniform(0.0, 50.0, 2)
+        mask = Mask(signed(rng.uniform(0.0, 1.0, grid))) if rng.random() < 0.7 else None
+        originals.append((float(rng.uniform(0.0, 1.0)), Box(x1, y1, x1 + w, y1 + h),
+                          signed(rng.normal(size=F)), mask))
+    order = rng.permutation(n * repeats)
+    source = order % n
+    proposals = tuple(
+        Proposal(id=i, score=originals[j][0], box=originals[j][1], feature=originals[j][2], mask=originals[j][3])
+        for i, j in enumerate(source)
+    )
+    pset = ProposalSet(proposals=proposals, image_width=200.0, image_height=200.0, feature_dim=F)
+    S = np.zeros((len(proposals), K))
+    for k in range(K):
+        rows = np.flatnonzero(source == rng.integers(0, n))
+        S[rows, k] = rng.uniform(0.01, 1.0, len(rows))
+    return S, pset
 
 
 @settings(max_examples=300, deadline=None)
-@given(scenes(), st.sampled_from([8, 100, 1000]))
-def test_aggregate_matches_reference_in_row_blocks(scene, block_bytes):
-    # A smaller budget takes the regions in blocks of one or a few rows.
+@given(copies_scenes())
+def test_aggregate_of_copies_is_exact(scene):
     S, pset = scene
-    with patch.object(_blocks, "BLOCK_BYTES", block_bytes):
-        assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)
+    assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)
 
 
 @pytest.mark.parametrize("K", [31, 150])
 def test_aggregate_matches_reference_on_cli_scenes(K):
-    # 2048 proposals with F 8; at K 150 the one-column scores span several
-    # row blocks too.
+    # 2048 proposals with F 8, as in a cli run
     pset, _ = synth_generate(SynthConfig(num_regions=32, proposals_per_region=64, jitter=4.0,
                                          score_noise=0.05, seed=1))
     S = solve(build_cost(pset, init_centroids(pset, K, 1), CostWeights()),
               SinkhornParams(), Marginals.uniform(len(pset), K))
-    blocks = [math.ceil(K / _blocks.block_rows(K, v.nbytes))
-              for v in (pset.boxes(), pset.scores(), pset.features())]
-    assert blocks == ([2, 1, 4] if K == 31 else [10, 3, 19])
-    assert _outcome(pipeline.aggregate, S, pset) == _outcome(aggregate, S, pset)
+    assert deviation(S, pset) <= BOUND

@@ -180,7 +180,7 @@ class TestRun:
                        "--entropy-threshold", 0.6, "--entropy-unit", "bits",
                        "--output", r_bits) == 0
         assert run_cli("run", out, "--ground-truth", gt_path, "--k", 3,
-                       "--entropy-threshold", 0.41588830833596715,
+                       "--entropy-threshold", 0.6 * math.log(2.0),
                        "--output", r_nats) == 0
         bits = json.loads(r_bits.read_text())
         nats = json.loads(r_nats.read_text())
