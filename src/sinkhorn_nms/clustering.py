@@ -3,6 +3,11 @@
 Proposals are clustered jointly on [normalized box center ; feature] so that
 the spatial and feature terms of the assignment cost both see O(1) inputs;
 centers are normalized by the image diagonal.
+
+Each Lloyd assignment ranks the centroids by one matrix product
+``|x|**2 - 2 x.c + |c|**2`` and rechecks with the (M, K, D) broadcast the
+rows that the product's rounding cannot decide, so its labels are the
+broadcast's.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._blocks import block_rows
 from ._checks import check_int
 from .baselines import greedy_nms
 from .geometry import box_centers
@@ -77,50 +81,6 @@ def _member_means(
     return means, counts
 
 
-def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
-    """``planes.sum(axis=0)`` in the order numpy sums a contiguous last axis.
-
-    Below 8 terms that order is left to right.  Up to 128 terms it keeps 8
-    partial sums ``r[j] += a[i + j]`` over the whole blocks of 8, combines
-    them as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds
-    the remainder left to right; above that it splits at half the count,
-    rounded down to a multiple of 8.  From 8 terms on, the sum is made in
-    ``planes[0]``, which is returned; the other planes are overwritten too.
-    """
-    n = len(planes)
-    if n < 8:
-        return planes.sum(axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(planes[:half])
-        total += _pairwise_sum(planes[half:])
-        return total
-    r = planes[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        r += planes[i : i + 8]
-    r[0::2] += r[1::2]
-    r[0::4] += r[2::4]
-    total = r[0]
-    total += r[4]
-    for plane in planes[whole:]:
-        total += plane
-    return total
-
-
-def _sq_distances(pts_t: np.ndarray, cents_t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(n, K) squared distances between the columns of ``pts_t`` (D, n) and
-    ``cents_t`` (D, K), bit for bit ``((pts[:, None] - cents[None]) ** 2).sum(axis=2)``
-    of C-ordered ``pts``: one (n, K) plane per coordinate, made in the flat
-    float64 ``scratch`` of at least D * n * K entries and summed in numpy's
-    order for that axis.  The result may be a view of ``scratch``."""
-    (D, n), K = pts_t.shape, cents_t.shape[1]
-    planes = scratch[: D * n * K].reshape(D, n, K)
-    np.subtract(pts_t[:, :, None], cents_t[:, None, :], out=planes)
-    planes *= planes
-    return _pairwise_sum(planes)
-
-
 def kmeans(
     points: Sequence[Sequence[float]] | np.ndarray,
     K: int,
@@ -132,8 +92,9 @@ def kmeans(
     point farthest from its nearest chosen centroid.  Empty clusters are
     re-seeded to the point currently farthest from its own centroid.  The
     ``wcss`` trace records the within-cluster sum of squares after every
-    assignment step and is non-increasing by construction.  At most
-    ``DEFAULT_MAX_ITERS`` update steps run.
+    assignment step; it is non-increasing only up to the rounding of the
+    member means (``kmeans([[-0.1]] * 3, 1, 0).wcss`` is ``(0.0, 5.78e-34)``
+    to three digits).  At most ``DEFAULT_MAX_ITERS`` update steps run.
     """
     # C order fixes the order in which each distance sums its coordinates
     pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -152,20 +113,29 @@ def kmeans(
         centroids[k] = pts[int(np.argmax(nearest))]
         nearest = np.minimum(nearest, ((pts - centroids[k]) ** 2).sum(axis=1))
 
-    pts_t = np.ascontiguousarray(pts.T)
-    step = block_rows(n, 8 * pts.shape[1] * K)
-    scratch = np.empty(pts.shape[1] * step * K)
+    # Every centroid lies in the ball of radius R = max|x| about 0 that holds
+    # the points, and an inner product errs by at most gamma_D |x| |c| in any
+    # order (Higham 3.1), so with u = eps / 2 an entry of d2 below errs by at
+    # most (4 D + 7) u R**2 and the broadcast's by 4 (D + 2) u R**2: entries
+    # more than ``tol`` apart compare alike in both.  ``tiny`` covers underflow.
+    with np.errstate(over="ignore"):
+        sq = (pts * pts).sum(axis=1)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    tol = 8 * (pts.shape[1] + 3) * eps * (sq.max() + tiny)
 
     def assign(cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cents_t = np.ascontiguousarray(cents.T)
-        labels = np.empty(n, dtype=np.intp)
-        own_d2 = np.empty(n)
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            d2 = _sq_distances(pts_t[:, rows], cents_t, scratch)
-            labels[rows] = d2.argmin(axis=1)
-            own_d2[rows] = d2[np.arange(len(d2)), labels[rows]]
-        return labels, own_d2
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = pts @ (-2.0 * cents.T)
+            d2 += sq[:, None]
+            d2 += (cents * cents).sum(axis=1)
+            labels = d2.argmin(axis=1)
+            near = d2 <= (d2[np.arange(n), labels] + tol)[:, None]
+        # Rows where a rival lies within tol of the best, or where an entry is
+        # not finite, take their argmin from the broadcast.
+        redo = np.flatnonzero((np.count_nonzero(near, axis=1) != 1) | ~np.isfinite(d2).all(axis=1))
+        if redo.size:
+            labels[redo] = ((pts[redo, None] - cents[None]) ** 2).sum(axis=2).argmin(axis=1)
+        return labels, ((pts - cents[labels]) ** 2).sum(axis=1)
 
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]

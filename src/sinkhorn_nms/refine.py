@@ -7,8 +7,10 @@ multiplier lambda is found by safeguarded Newton steps inside a bracket, with
 a bisection's stopping rule and guarantee, so that the entropy constraint is
 met, and the conditional-gradient loop with exact line search reaches the
 optimum of the linear objective in at most two iterations, so it runs at
-most two.  Only ``tau_H`` is settable; the bracket and stopping numerics are
-module constants.
+most two.  For ``tau_H >= ln K - 1e-12`` the oracle and the loop return the
+uniform vector, every entry exactly ``1/K``, whose computed entropy can fall
+short of ``tau_H`` by rounding.  Only ``tau_H`` is settable; the bracket and
+stopping numerics are module constants.
 
 Entropy is measured in nats throughout.
 """
@@ -103,7 +105,9 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
     constraint holds exactly on the output and lambda lies within
     ``BISECT_EPS`` of a crossing of the target.  When the target is
     unreachable even at ``LAMBDA_MAX`` the uniform vector is returned with an
-    :class:`UnreachableEntropyWarning`.
+    :class:`UnreachableEntropyWarning`.  For ``tau_H >= ln K - 1e-12`` it is
+    the entropy maximiser, every entry exactly ``1/K``, whose computed
+    entropy can fall short of ``tau_H`` by rounding.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size == 0:
@@ -188,8 +192,10 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
 
     Starts from the uniform distribution, moves toward the oracle point with
     exact line search, and stops when the objective change falls below
-    ``DELTA``, which it does by the second iteration.  The returned point is
-    feasible: it sums to one and its entropy is at least ``tau_H``.
+    ``DELTA``, which it does by the second iteration.  The returned point
+    sums to one and its entropy is at least ``tau_H``, except for ``tau_H >=
+    ln K - 1e-12``: there it is the uniform vector, every entry exactly
+    ``1/K``, whose computed entropy can fall short of ``tau_H`` by rounding.
     """
     q = np.asarray(q, dtype=np.float64)
     K = q.shape[0]

@@ -7,14 +7,16 @@ kept verbatim as the reference oracle.  Both must return the same centroid
 bytes, the same assignment and the same ``wcss`` bits, also when duplicate
 points leave clusters empty and get them re-seeded, when entries are
 ``±0.0``, when the iteration budget runs out mid-update, for point
-dimensions in every branch of numpy's summation order and when the points
-span several row blocks.  The distance kernel and ``build_cost``'s spatial
-term are checked byte for byte against the broadcasts they replaced.
+dimensions in every branch of numpy's summation order, for magnitudes from
+1e-150 to 1e150, and on the near ties that the library's matrix-product
+distances cannot order and must recheck with the broadcast: lattice points
+with duplicates, symmetric sets, points with a tiny spread about a large
+offset, and coordinates whose product form overflows.  ``build_cost``'s
+spatial term is checked byte for byte against the broadcast it replaced.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 from unittest.mock import patch
 
@@ -29,12 +31,11 @@ from sinkhorn_nms import (
     ProposalArrays,
     ProposalSet,
     SynthConfig,
-    _blocks,
     build_cost,
     clustering,
     synth_generate,
 )
-from sinkhorn_nms.clustering import DEFAULT_MAX_ITERS, KMeansResult, _sq_distances
+from sinkhorn_nms.clustering import DEFAULT_MAX_ITERS, KMeansResult
 from sinkhorn_nms.geometry import box_centers
 from sinkhorn_nms.rng import SplitMix64
 
@@ -147,16 +148,6 @@ def problems(draw):
     return points, K, draw(st.integers(0, 2**32)), max_iters
 
 
-@settings(max_examples=300, deadline=None)
-@given(problems())
-@example((np.array([[-0.0, 0.0], [-0.0, -0.0], [3.0, -0.0]]), 2, 0, 1))  # signed zeros
-@example((np.zeros((5, 3)), 5, 1, DEFAULT_MAX_ITERS))  # every cluster but one empty
-@example((np.random.default_rng(2).normal(size=(37, 1)), 2, 3, 1))  # pairwise column sums
-@example((np.random.default_rng(4).normal(size=(37, 10)), 3, 5, 1))
-def test_matches_reference_oracle(problem):
-    assert_same_as_reference(*problem)
-
-
 def test_matches_reference_oracle_on_training_scenes():
     # The joint [center / diag ; feature] points that ``init_centroids`` clusters.
     for seed in range(4):
@@ -165,8 +156,6 @@ def test_matches_reference_oracle_on_training_scenes():
         for max_iters in (1, DEFAULT_MAX_ITERS):
             assert_same_as_reference(joint, 16, seed, max_iters)
 
-
-# the distance kernel and the spatial cost term
 
 # D from each branch of numpy's order for summing a contiguous axis: left to
 # right below 8 terms, 8 partial sums over one, two or more whole blocks of 8,
@@ -185,25 +174,6 @@ def coordinates(draw, shape):
     return np.where(zero, np.where(rng.random(shape) < 0.5, -0.0, 0.0), values)
 
 
-def broadcast_distances(pts, cents):
-    """The (M, K, D) expression that the Lloyd step and the tests above used."""
-    return ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_distance_kernel_matches_the_broadcast(data):
-    D = data.draw(DIMS)
-    pts = data.draw(coordinates((data.draw(st.integers(1, 12)), D)))
-    cents = data.draw(coordinates((data.draw(st.integers(1, 6)), D)))
-    # in a larger scratch buffer that holds stale values
-    scratch = np.full(pts.size * len(cents) + 5, np.nan)
-    got = _sq_distances(np.ascontiguousarray(pts.T), np.ascontiguousarray(cents.T), scratch)
-    want = broadcast_distances(pts, cents)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
 @st.composite
 def wide_problems(draw):
     pool = draw(coordinates((draw(st.integers(1, 8)), draw(DIMS))))
@@ -214,20 +184,43 @@ def wide_problems(draw):
     return points, K, draw(st.integers(0, 2**32)), max_iters
 
 
-@settings(max_examples=200, deadline=None)
-@given(wide_problems(), st.sampled_from([8, 1024, 16384]))
-def test_matches_reference_oracle_in_row_blocks(problem, block_bytes):
-    # A smaller budget takes the points in blocks of one or a few rows.
-    with patch.object(_blocks, "BLOCK_BYTES", block_bytes):
-        assert_same_as_reference(*problem)
+@st.composite
+def near_ties(draw):
+    """Points whose distances to two centroids agree to within rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, D = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["lattice", "symmetric", "offset", "overflow"]))
+    if family == "lattice":  # tenths, with many duplicates
+        points = rng.integers(-3, 4, size=(n, D)) * 0.1
+    elif family == "symmetric":  # each x with its -x
+        half = rng.normal(size=((n + 1) // 2, D))
+        if draw(st.booleans()):
+            half = rng.integers(-3, 4, size=half.shape) * 0.1
+        points = np.vstack([half, -half])[:n]
+    elif family == "offset":  # |x|**2 swamps the distances
+        points = 1e6 + 1e-3 * rng.normal(size=(n, D))
+    else:  # |x|**2 or x.c overflows, the differences do not
+        points = 1e154 * (1.0 + 1e-3 * rng.normal(size=(n, D)))
+    K = draw(st.integers(1, n))
+    max_iters = draw(st.sampled_from([1, 2, DEFAULT_MAX_ITERS]))
+    return points, K, draw(st.integers(0, 2**32)), max_iters
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(problems(), wide_problems(), near_ties()))
+@example((np.array([[-0.0, 0.0], [-0.0, -0.0], [3.0, -0.0]]), 2, 0, 1))  # signed zeros
+@example((np.zeros((5, 3)), 5, 1, DEFAULT_MAX_ITERS))  # every cluster but one empty
+@example((np.random.default_rng(2).normal(size=(37, 1)), 2, 3, 1))  # pairwise column sums
+@example((np.random.default_rng(4).normal(size=(37, 10)), 3, 5, 1))
+@example((1e6 + 1e-3 * np.random.default_rng(1).normal(size=(30, 3)), 4, 1, DEFAULT_MAX_ITERS))
+def test_matches_reference_oracle(problem):
+    assert_same_as_reference(*problem)
 
 
 def test_matches_reference_oracle_on_the_cli_scene():
     pset, _ = synth_generate(SynthConfig(num_regions=32, proposals_per_region=64, jitter=4.0,
                                          score_noise=0.05, seed=1))
     joint = np.hstack([box_centers(pset.boxes()) / pset.image_diag, pset.features()])
-    # 2048 joint points of D 10 at K 31
-    assert math.ceil(2048 / _blocks.block_rows(2048, 8 * 10 * 31)) == 5
     assert_same_as_reference(joint, 31, 1, DEFAULT_MAX_ITERS)
 
 

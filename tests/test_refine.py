@@ -62,6 +62,14 @@ class TestLmoEntropy:
         s = lmo_entropy(np.array([1.0, 0.0]), RefineParams(tau_H=math.log(2)))
         assert np.allclose(s.p, 0.5)
 
+    def test_uniform_at_ln_k_can_fall_short_by_rounding(self):
+        # the oracle and the loop return the entropy maximiser, every entry
+        # exactly 1/39, whose computed entropy lies 4 ulp below ln 39
+        q, params = np.linspace(-1.0, 1.0, 39), RefineParams(tau_H=math.log(39))
+        for p in (lmo_entropy(q, params).p, frank_wolfe(q, params).p.p):
+            assert (p == 1.0 / 39).all()
+            assert entropy(p) == 3.6635616461296445 < params.tau_H == 3.6635616461296463
+
     def test_binary_fixture(self):
         s = lmo_entropy(np.array([1.0, 0.0]), RefineParams(tau_H=0.5))
         assert s.p[0] == pytest.approx(P_BINARY_HALF, abs=1e-3)
