@@ -16,8 +16,8 @@ from .clustering import (
     init_centroids,
     kmeans,
 )
-from .cost import CostMatrix, CostWeights, build_cost, feature_distance, kappa, spatial_distance
-from .geometry import Box, Mask, iou, iou_matrix, quality_score, quality_scores, total_variation
+from .cost import CostMatrix, CostWeights, build_cost, kappa
+from .geometry import Box, Mask, iou_matrix, quality_score, quality_scores, total_variation
 from .hungarian import Assignment, hungarian_solve, kl_divergence
 from .losses import (
     LossReport,
@@ -53,10 +53,8 @@ from .refine import (
     RefineParams,
     SimplexVector,
     UnreachableEntropyWarning,
-    duality_gap,
     entropy,
     frank_wolfe,
-    line_search,
     lmo_entropy,
 )
 from .rng import SplitMix64
@@ -112,10 +110,8 @@ __all__ = [
     "compare",
     "contraction_rate",
     "dnms",
-    "duality_gap",
     "entropy",
     "estimate_k",
-    "feature_distance",
     "frank_wolfe",
     "grad_analytic",
     "grad_matching_wrt_cost",
@@ -124,12 +120,10 @@ __all__ = [
     "hilbert_distance",
     "hungarian_solve",
     "init_centroids",
-    "iou",
     "iou_matrix",
     "kappa",
     "kl_divergence",
     "kmeans",
-    "line_search",
     "lmo_entropy",
     "matching_loss",
     "quality_labels",
@@ -137,7 +131,6 @@ __all__ = [
     "quality_scores",
     "soft_nms",
     "solve",
-    "spatial_distance",
     "synth_generate",
     "total_loss",
     "total_variation",

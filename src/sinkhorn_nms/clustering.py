@@ -94,7 +94,10 @@ def kmeans(
     ``wcss`` trace records the within-cluster sum of squares after every
     assignment step; it is non-increasing only up to the rounding of the
     member means (``kmeans([[-0.1]] * 3, 1, 0).wcss`` is ``(0.0, 5.78e-34)``
-    to three digits).  At most ``DEFAULT_MAX_ITERS`` update steps run.
+    to three digits).  The updates stop at the first assignment that equals
+    an earlier one, which they keep: a fixed point, or a cycle that the
+    rounded means, ties or re-seeding can close.  At most
+    ``DEFAULT_MAX_ITERS`` update steps run.
     """
     # C order fixes the order in which each distance sums its coordinates
     pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -139,6 +142,7 @@ def kmeans(
 
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]
+    seen = {labels.tobytes()}
     for _ in range(DEFAULT_MAX_ITERS):
         new_centroids, counts = _member_means(pts, labels, centroids)
         # Re-seed empty clusters to the point farthest from its own centroid,
@@ -151,12 +155,11 @@ def kmeans(
             new_centroids[k] = pts[far]
             reseeded.append(far)
         centroids = new_centroids
-        new_labels, own_d2 = assign(centroids)
+        labels, own_d2 = assign(centroids)
         wcss.append(float(own_d2.sum()))
-        if (new_labels == labels).all():
-            labels = new_labels
+        if labels.tobytes() in seen:
             break
-        labels = new_labels
+        seen.add(labels.tobytes())
 
     # Make every centroid the mean of its assigned points even when the
     # iteration budget ran out mid-update.

@@ -14,14 +14,13 @@ the linear convergence rate of the scaling solver.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import check_real
 from .clustering import Centroids
-from .geometry import Box, box_centers
+from .geometry import box_centers
 from .proposals import ProposalSet
 
 logger = logging.getLogger(__name__)
@@ -58,31 +57,6 @@ def cost_values(C: CostMatrix | np.ndarray) -> np.ndarray:
     if isinstance(C, CostMatrix):
         return C.values
     return CostMatrix(np.asarray(C)).values
-
-
-def feature_distance(f: np.ndarray, mu: np.ndarray) -> float:
-    """Cosine distance 1 - <f, mu> / (|f| |mu|), in [0, 2].
-
-    A zero vector on either side carries no directional information; the
-    distance falls back to 1.0 and the event is logged.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    if f.shape != mu.shape:
-        raise ValueError(f"dimension mismatch: {f.shape} vs {mu.shape}")
-    nf = float(np.linalg.norm(f))
-    nmu = float(np.linalg.norm(mu))
-    if nf == 0.0 or nmu == 0.0:
-        logger.warning("feature_distance: zero vector, returning neutral distance 1.0")
-        return 1.0
-    return 1.0 - float(np.dot(f, mu)) / (nf * nmu)
-
-
-def spatial_distance(box: Box, nu: tuple[float, float], image_diag: float) -> float:
-    """Euclidean distance from the box center to ``nu``, over the image diagonal."""
-    image_diag = check_real("image_diag", image_diag, 0.0, strict=True)
-    cx, cy = box.center
-    return math.hypot(cx - nu[0], cy - nu[1]) / image_diag
 
 
 def build_cost(pset: ProposalSet, cents: Centroids, w: CostWeights) -> CostMatrix:

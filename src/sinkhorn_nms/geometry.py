@@ -85,11 +85,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(union > 0.0, inter / union, 0.0)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0.0 when the union has no area."""
-    return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
-
-
 def box_array(boxes: Sequence[Box]) -> np.ndarray:
     """The boxes stacked as a corner-encoded (n, 4) array."""
     return np.array([b.as_array() for b in boxes]).reshape(-1, 4)

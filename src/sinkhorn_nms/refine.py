@@ -177,16 +177,6 @@ def _within_eps(end: float, direction: float) -> float:
     return x if abs(x - end) <= BISECT_EPS else math.nextafter(x, end)
 
 
-def line_search(p: SimplexVector, s: SimplexVector, q: np.ndarray) -> float:
-    """Exact step size for the linear objective: 1.0 on improvement, else 0.0.
-
-    The objective is linear in the step, so the maximizer over [0, 1] is an
-    endpoint; ties keep the current iterate.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    return 1.0 if float(q @ s.p) > float(q @ p.p) else 0.0
-
-
 def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
     """Conditional-gradient maximization of <q, p> under the entropy constraint.
 
@@ -208,7 +198,8 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
     # the second finds no improvement, takes gamma = 0 and changes nothing.
     for _ in range(2):
         s = lmo_entropy(q, params)
-        gamma = line_search(SimplexVector(p), s, q)
+        # Exact line search on a linear objective: an endpoint, ties keep p.
+        gamma = 1.0 if float(q @ s.p) > float(q @ p) else 0.0
         p = (1.0 - gamma) * p + gamma * s.p
         f = float(q @ p)
         trace.append(f)
@@ -218,9 +209,3 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
         f_prev = f
     return FrankWolfeResult(p=SimplexVector(p), iterations=iterations, objective_trace=tuple(trace))
 
-
-def duality_gap(p: SimplexVector, q: np.ndarray, params: RefineParams) -> float:
-    """Suboptimality certificate <q, s_oracle - p>, clamped at zero."""
-    q = np.asarray(q, dtype=np.float64)
-    s = lmo_entropy(q, params)
-    return max(0.0, float(q @ (s.p - p.p)))

@@ -1,3 +1,13 @@
+"""``build_cost`` and ``kappa``, with per-entry oracles for the cost terms.
+
+``feature_distance`` and ``spatial_distance`` below are the scalar cosine and
+spatial distances that ``build_cost`` vectorises; the library does not call
+them, so they live here as the per-entry oracle of the cost matrix.
+"""
+
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +20,39 @@ from sinkhorn_nms import (
     CostWeights,
     SynthConfig,
     build_cost,
-    feature_distance,
     init_centroids,
     kappa,
-    spatial_distance,
     synth_generate,
 )
+from sinkhorn_nms._checks import check_real
+
+logger = logging.getLogger(__name__)
+
+
+def feature_distance(f: np.ndarray, mu: np.ndarray) -> float:
+    """Cosine distance 1 - <f, mu> / (|f| |mu|), in [0, 2].
+
+    A zero vector on either side carries no directional information; the
+    distance falls back to 1.0 and the event is logged.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    if f.shape != mu.shape:
+        raise ValueError(f"dimension mismatch: {f.shape} vs {mu.shape}")
+    nf = float(np.linalg.norm(f))
+    nmu = float(np.linalg.norm(mu))
+    if nf == 0.0 or nmu == 0.0:
+        logger.warning("feature_distance: zero vector, returning neutral distance 1.0")
+        return 1.0
+    return 1.0 - float(np.dot(f, mu)) / (nf * nmu)
+
+
+def spatial_distance(box: Box, nu: tuple[float, float], image_diag: float) -> float:
+    """Euclidean distance from the box center to ``nu``, over the image diagonal."""
+    image_diag = check_real("image_diag", image_diag, 0.0, strict=True)
+    cx, cy = box.center
+    return math.hypot(cx - nu[0], cy - nu[1]) / image_diag
+
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 matrices = hnp.arrays(
@@ -74,8 +111,6 @@ class TestFeatureDistance:
         assert got == pytest.approx(0.29289321881345254)
 
     def test_zero_vector_neutral(self, caplog):
-        import logging
-
         with caplog.at_level(logging.WARNING):
             got = feature_distance(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         assert got == 1.0
@@ -160,7 +195,6 @@ class TestBuildCost:
 
     def test_zero_feature_row_uses_neutral_distance(self, scene, caplog):
         import dataclasses
-        import logging
 
         pset, cents = scene
         rows = list(pset.proposals)

@@ -3,9 +3,9 @@ previous implementations.
 
 The functions below ``# reference implementations`` are the earlier scalar
 IoU, the full M x M ``pairwise_iou`` and the baselines built on it, kept
-verbatim as the oracle: ``iou``, ``quality_score`` and ``greedy_nms`` must
-agree exactly, ``soft_nms`` up to the last-ulp difference between
-``np.exp`` and ``math.exp``.
+verbatim as the oracle: a 1 x 1 ``iou_matrix``, ``quality_score`` and
+``greedy_nms`` must agree exactly, ``soft_nms`` up to the last-ulp
+difference between ``np.exp`` and ``math.exp``.
 """
 
 from __future__ import annotations
@@ -189,7 +189,8 @@ class TestIoUAgreement:
     @settings(max_examples=400, deadline=None)
     def test_iou_bitwise(self, pair):
         a, b = pair
-        assert _bits(geometry.iou(a, b)) == _bits(iou(a, b))
+        got = geometry.iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0]
+        assert _bits(got) == _bits(iou(a, b))
 
     @given(box_lists(1, 9))
     @settings(max_examples=300, deadline=None)

@@ -3,7 +3,10 @@
 ``kmeans`` below is the earlier implementation, which took each cluster's
 mean with its own ``pts[labels == k].mean(axis=0)`` in the Lloyd update and
 in the final pass, and each squared distance from an (M, K, D) broadcast,
-kept verbatim as the reference oracle.  Both must return the same centroid
+kept as the reference oracle.  Its one deliberate change is the stop rule:
+the updates end at the first assignment that equals any earlier one, not
+only the one before it, so that a cycle closed by rounded means, ties or
+re-seeding ends like a fixed point.  Both must return the same centroid
 bytes, the same assignment and the same ``wcss`` bits, also when duplicate
 points leave clusters empty and get them re-seeded, when entries are
 ``±0.0``, when the iteration budget runs out mid-update, for point
@@ -11,7 +14,8 @@ dimensions in every branch of numpy's summation order, for magnitudes from
 1e-150 to 1e150, and on the near ties that the library's matrix-product
 distances cannot order and must recheck with the broadcast: lattice points
 with duplicates, symmetric sets, points with a tiny spread about a large
-offset, and coordinates whose product form overflows.  ``build_cost``'s
+offset, and coordinates whose product form overflows; and on tenths-lattice
+points, where Lloyd's updates often cycle.  ``build_cost``'s
 spatial term is checked byte for byte against the broadcast it replaced.
 """
 
@@ -54,7 +58,7 @@ def kmeans(
     point farthest from its nearest chosen centroid.  Empty clusters are
     re-seeded to the point currently farthest from its own centroid.  The
     ``wcss`` trace records the within-cluster sum of squares after every
-    assignment step and is non-increasing by construction.
+    assignment step.  The updates stop at the first assignment seen before.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -82,6 +86,7 @@ def kmeans(
 
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]
+    history = [labels]
     for _ in range(max_iters):
         new_centroids = centroids.copy()
         reseeded: set[int] = set()
@@ -101,9 +106,10 @@ def kmeans(
         centroids = new_centroids
         new_labels, own_d2 = assign(centroids)
         wcss.append(float(own_d2.sum()))
-        if (new_labels == labels).all():
+        if any((new_labels == old).all() for old in history):
             labels = new_labels
             break
+        history.append(new_labels)
         labels = new_labels
 
     # Make every centroid the mean of its assigned points even when the
@@ -206,8 +212,30 @@ def near_ties(draw):
     return points, K, draw(st.integers(0, 2**32)), max_iters
 
 
+def tenths_lattice(s: int):
+    """Coordinates in {-0.3, ..., 0.3}, D 1-5, n 1-39 and K 1-n from seed ``s``.
+
+    In this family about one run in twelve cycled through all 100 updates
+    before the stop at a repeated assignment.
+    """
+    rng = np.random.default_rng(s)
+    n, D = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+    points = rng.integers(-3, 4, size=(n, D)) * 0.1
+    return points, int(rng.integers(1, n + 1)), 0, DEFAULT_MAX_ITERS
+
+
+# Updates 2 and 4 give the same assignment: two duplicate points swap between
+# two centroids at the same place, one of them re-seeded.
+CYCLE = [[0.1], [0.3], [0.3], [-0.1], [-0.1], [0.0], [0.2], [-0.3], [-0.1], [-0.3], [0.1]]
+
+
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(problems(), wide_problems(), near_ties()))
+@given(st.one_of(problems(), wide_problems(), near_ties(),
+                 st.integers(0, 2**32 - 1).map(tenths_lattice)))
+@example((np.array(CYCLE), 10, 598, DEFAULT_MAX_ITERS))
+@example(tenths_lattice(3))  # a cycle whose wcss rises, D 1
+@example(tenths_lattice(720))  # a cycle whose wcss rises, D 2
+@example(tenths_lattice(202))  # a cycle at constant wcss, D 2
 @example((np.array([[-0.0, 0.0], [-0.0, -0.0], [3.0, -0.0]]), 2, 0, 1))  # signed zeros
 @example((np.zeros((5, 3)), 5, 1, DEFAULT_MAX_ITERS))  # every cluster but one empty
 @example((np.random.default_rng(2).normal(size=(37, 1)), 2, 3, 1))  # pairwise column sums
@@ -215,6 +243,18 @@ def near_ties(draw):
 @example((1e6 + 1e-3 * np.random.default_rng(1).normal(size=(30, 3)), 4, 1, DEFAULT_MAX_ITERS))
 def test_matches_reference_oracle(problem):
     assert_same_as_reference(*problem)
+
+
+def test_stops_at_the_first_repeated_assignment():
+    with patch.object(clustering, "DEFAULT_MAX_ITERS", 2):
+        second = clustering.kmeans(CYCLE, 10, 598)
+    with patch.object(clustering, "DEFAULT_MAX_ITERS", 3):
+        third = clustering.kmeans(CYCLE, 10, 598)
+    got = clustering.kmeans(CYCLE, 10, 598)
+    assert not np.array_equal(third.assignment, second.assignment)
+    assert len(got.wcss) == 5
+    assert np.array_equal(got.assignment, second.assignment)
+    assert got.centroids.tobytes() == second.centroids.tobytes()
 
 
 def test_matches_reference_oracle_on_the_cli_scene():

@@ -30,7 +30,6 @@ from sinkhorn_nms import (
     SynthConfig,
     cli,
     dnms,
-    duality_gap,
     formats,
     frank_wolfe,
     hungarian_solve,
@@ -193,8 +192,7 @@ def test_simplex_vector_rejects_non_finite_entries(p):
 @pytest.mark.parametrize("call", [
     lambda q: lmo_entropy(q, RefineParams(tau_H=0.3)),
     lambda q: frank_wolfe(q, RefineParams(tau_H=0.3)),
-    lambda q: duality_gap(SimplexVector(np.array([0.5, 0.5])), q, RefineParams(tau_H=0.3)),
-], ids=["lmo_entropy", "frank_wolfe", "duality_gap"])
+], ids=["lmo_entropy", "frank_wolfe"])
 def test_refinement_rejects_non_finite_scores(call, q):
     with pytest.raises(ValueError, match=r"^q must be finite"):
         call(np.array(q))

@@ -10,14 +10,35 @@ from sinkhorn_nms import (
     RefineParams,
     SimplexVector,
     UnreachableEntropyWarning,
-    duality_gap,
     entropy,
     frank_wolfe,
-    line_search,
     lmo_entropy,
     verification,
 )
 from sinkhorn_nms.refine import BISECT_EPS
+
+
+# ``line_search`` is the step ``frank_wolfe`` takes inline, and ``duality_gap``
+# is a suboptimality certificate; the library calls neither, so both live
+# here as oracles.
+
+
+def line_search(p: SimplexVector, s: SimplexVector, q: np.ndarray) -> float:
+    """Exact step size for the linear objective: 1.0 on improvement, else 0.0.
+
+    The objective is linear in the step, so the maximizer over [0, 1] is an
+    endpoint; ties keep the current iterate.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    return 1.0 if float(q @ s.p) > float(q @ p.p) else 0.0
+
+
+def duality_gap(p: SimplexVector, q: np.ndarray, params: RefineParams) -> float:
+    """Suboptimality certificate <q, s_oracle - p>, clamped at zero."""
+    q = np.asarray(q, dtype=np.float64)
+    s = lmo_entropy(q, params)
+    return max(0.0, float(q @ (s.p - p.p)))
+
 
 # Frozen by independent scalar bisection of the binary entropy H(p) = 0.5
 # on p in [1/2, 1].
