@@ -17,7 +17,7 @@ from .clustering import (
     kmeans,
 )
 from .cost import CostMatrix, CostWeights, build_cost, kappa
-from .geometry import Box, Mask, iou_matrix, quality_score, quality_scores, total_variation
+from .geometry import Box, Mask, iou_matrix, quality_scores, total_variation
 from .hungarian import Assignment, hungarian_solve, kl_divergence
 from .losses import (
     LossReport,
@@ -127,7 +127,6 @@ __all__ = [
     "lmo_entropy",
     "matching_loss",
     "quality_labels",
-    "quality_score",
     "quality_scores",
     "soft_nms",
     "solve",

@@ -16,7 +16,7 @@ from .proposals import ProposalSet
 
 
 def _processing_order(pset: ProposalSet) -> np.ndarray:
-    return np.lexsort((pset.proposals.ids, -pset.scores()))
+    return np.lexsort((pset.proposals.ids, -pset.proposals.scores))
 
 
 def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
@@ -29,7 +29,7 @@ def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
         raise ValueError("iou_thresh must lie strictly between 0 and 1")
     if len(pset) == 0:
         return pset
-    boxes = pset.boxes()
+    boxes = pset.proposals.boxes
     suppressed = np.zeros(len(pset), dtype=bool)
     kept = np.zeros(len(pset), dtype=bool)
     for i in _processing_order(pset):
@@ -54,8 +54,8 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
     score_floor = check_real("score_floor", score_floor)
     if len(pset) == 0:
         return pset
-    boxes = pset.boxes()
-    scores = pset.scores().copy()
+    boxes = pset.proposals.boxes
+    scores = pset.proposals.scores.copy()
     order = _processing_order(pset)
     # a proposal leaves ``alive`` only before its visit, so it ends as the kept set
     alive = np.ones(len(pset), dtype=bool)

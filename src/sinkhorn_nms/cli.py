@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from ._checks import check_int, check_real
+from ._checks import check_int
 from .cost import CostWeights
 from .pipeline import PipelineConfig, compare, dnms
 from .proposals import SynthConfig, synth_generate, validate
@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a deterministic synthetic scene")
+    synth.set_defaults(func=_cmd_synth)
     synth.add_argument("--regions", type=int, required=True)
     synth.add_argument("--per-region", type=int, required=True)
     synth.add_argument("--jitter", type=float, default=0.0)
@@ -90,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run the pipeline on a proposal file")
+    run.set_defaults(func=_cmd_run)
     run.add_argument("input", type=Path)
     run.add_argument("--ground-truth", type=Path, default=None)
     run.add_argument("--output", type=Path, required=True)
@@ -124,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     grad = sub.add_parser("gradcheck", help="derivatives vs central finite differences")
+    grad.set_defaults(func=_cmd_gradcheck)
     grad.add_argument("--m", type=int, default=5)
     grad.add_argument("--k", type=int, default=4)
     grad.add_argument("--tau", type=float, default=1.0)
@@ -141,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--output", type=Path, default=None)
 
     conv = sub.add_parser("convergence", help="contraction and refinement checks")
+    conv.set_defaults(func=_cmd_convergence)
     conv.add_argument("--taus", type=_parse_taus, default=(0.5, 1.0, 2.0))
     conv.add_argument("--trials", type=int, default=20)
     conv.add_argument("--m-max", type=int, default=10)
@@ -149,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--output", type=Path, default=None)
 
     bench = sub.add_parser("bench", help="wall-clock comparison on synthetic scenes")
+    bench.set_defaults(func=_cmd_bench)
     bench.add_argument("--m", type=int, default=256)
     bench.add_argument("--k", type=int, default=16)
     bench.add_argument("--iters", type=int, default=10)
@@ -225,14 +230,11 @@ def _gradcheck_section(check: GradCheckReport) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
-    # Only the matching check takes --lambda-kl, and it runs second: reject a
-    # bad value before the unrolled check spends its trials.
-    check_real("lambda_kl", args.lambda_kl, 0.0)
     # All three checks run at the same sizes, temperature, iterations and step.
     shared = dict(m_max=args.m, k_max=args.k, tau=args.tau, iters=args.iters, fd_step=args.fd_step)
     common = dict(shared, trials=args.trials, threshold=args.threshold)
-    unrolled = gradcheck_unrolled(seed=args.seed, **common)
     matching = gradcheck_matching(seed=args.seed + 1, lambda_kl=args.lambda_kl, **common)
+    unrolled = gradcheck_unrolled(seed=args.seed, **common)
     jacobian = jacobian_formula_check(trials=min(args.trials, 20), seed=args.seed + 2, **shared)
     report = {
         "format": "gradcheck-report",
@@ -343,20 +345,13 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "run": _cmd_run,
-    "gradcheck": _cmd_gradcheck,
-    "convergence": _cmd_convergence,
-    "bench": _cmd_bench,
-}
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ValueError, OSError) as exc:  # ProposalFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -170,8 +170,8 @@ def kmeans(
 def init_centroids(pset: ProposalSet, K: int, seed: int) -> Centroids:
     """Cluster proposals on [center / diag ; feature] and split the result."""
     diag = pset.image_diag
-    centers = box_centers(pset.boxes()) / diag
-    joint = np.hstack([centers, pset.features()])
+    centers = box_centers(pset.proposals.boxes) / diag
+    joint = np.hstack([centers, pset.proposals.features])
     result = kmeans(joint, K, seed)
     nu = result.centroids[:, :2] * diag
     mu = result.centroids[:, 2:]
@@ -188,6 +188,6 @@ def estimate_k(pset: ProposalSet) -> int:
     """
     if len(pset) == 0:
         raise ValueError("no proposals")
-    eligible = np.flatnonzero(pset.scores() >= DEFAULT_SCORE_FLOOR)
+    eligible = np.flatnonzero(pset.proposals.scores >= DEFAULT_SCORE_FLOOR)
     survivors = len(greedy_nms(pset.take(eligible), DEFAULT_IOU_THRESH))
     return max(1, min(survivors, min(len(pset), DEFAULT_K_MAX)))

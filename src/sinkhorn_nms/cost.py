@@ -61,14 +61,14 @@ def cost_values(C: CostMatrix | np.ndarray) -> np.ndarray:
 
 def build_cost(pset: ProposalSet, cents: Centroids, w: CostWeights) -> CostMatrix:
     """Assemble the (M, K) cost matrix from scores, features, and centers."""
-    feats = pset.features()
+    feats = pset.proposals.features
     if feats.shape[1] != cents.feature_centroids.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: proposals {feats.shape[1]} vs "
             f"centroids {cents.feature_centroids.shape[1]}"
         )
-    scores = pset.scores()
-    centers = box_centers(pset.boxes())
+    scores = pset.proposals.scores
+    centers = box_centers(pset.proposals.boxes)
 
     nf = np.linalg.norm(feats, axis=1)
     nmu = np.linalg.norm(cents.feature_centroids, axis=1)

@@ -105,11 +105,6 @@ def quality_scores(boxes: np.ndarray, gts: Sequence[Box]) -> np.ndarray:
     return iou_matrix(boxes, box_array(gts)).max(axis=1)
 
 
-def quality_score(p: Box, gts: Sequence[Box]) -> float:
-    """Maximum IoU between ``p`` and any ground-truth box; 0.0 when none exist."""
-    return float(quality_scores(p.as_array()[None], gts)[0])
-
-
 def total_variation(m: Mask) -> float:
     """Anisotropic total variation: sum of |forward differences| along both axes.
 

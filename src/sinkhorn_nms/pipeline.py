@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._checks import check_int
-from .baselines import greedy_nms, soft_nms  # noqa: F401  (re-exported surface)
+from .baselines import greedy_nms, soft_nms
 from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
 from .cost import CostWeights, build_cost, kappa
 from .geometry import Box, Mask, box_array, quality_scores
@@ -133,7 +133,7 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     if K == 0:
         return []
     W = St / totals[:, None]
-    fields = np.hstack((pset.boxes(), pset.scores()[:, None], pset.features()))
+    fields = np.hstack((pset.proposals.boxes, pset.proposals.scores[:, None], pset.proposals.features))
     out = _combine(fields, W, fields.min(axis=0), fields.max(axis=0))
     masks: list[Mask | None] = [None] * K
     if carriers:
@@ -215,7 +215,7 @@ def compare(
         kept = method()
         elapsed = time.perf_counter() - start
         if isinstance(kept, ProposalSet):
-            boxes = kept.boxes()
+            boxes = kept.proposals.boxes
         else:
             boxes = box_array([r.box for r in kept])
         out[name] = MethodMetrics(

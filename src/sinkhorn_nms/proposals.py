@@ -161,10 +161,10 @@ class ProposalArrays(Sequence):
 class ProposalSet:
     """Ordered proposals plus the image extent and shared feature dimension.
 
-    ``proposals`` is always a ``ProposalArrays``, the one storage the
-    pipeline reads.  A sequence of ``Proposal`` objects given instead is
-    stacked into one on construction; the file reader and ``synth_generate``
-    pass their arrays directly.
+    ``proposals`` is always a ``ProposalArrays``, the one storage, whose
+    columns callers read directly (``pset.proposals.boxes``).  A sequence of
+    ``Proposal`` objects given instead is stacked into one on construction;
+    the file reader and ``synth_generate`` pass their arrays directly.
 
     Construction is lenient so that malformed sets can be inspected; use
     :func:`validate` to obtain the list of invariant violations.  Only
@@ -190,16 +190,6 @@ class ProposalSet:
     @property
     def image_diag(self) -> float:
         return math.hypot(self.image_width, self.image_height)
-
-    def boxes(self) -> np.ndarray:
-        """All boxes as a read-only (M, 4) array."""
-        return self.proposals.boxes
-
-    def scores(self) -> np.ndarray:
-        return self.proposals.scores
-
-    def features(self) -> np.ndarray:
-        return self.proposals.features
 
     def take(self, index: np.ndarray, scores: np.ndarray | None = None) -> "ProposalSet":
         """The proposals at ``index``, in that order, with ``scores`` if given."""

@@ -88,6 +88,15 @@ def _softmax_scaled(q: np.ndarray, lam: float) -> np.ndarray:
     return e / e.sum()
 
 
+def _check_q(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("q must be a 1-d non-empty vector")
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite")
+    return q
+
+
 def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
     """Feasible maximizer of <q, s> over the entropy-constrained simplex.
 
@@ -109,11 +118,7 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
     the entropy maximiser, every entry exactly ``1/K``, whose computed
     entropy can fall short of ``tau_H`` by rounding.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise ValueError("q must be a 1-d non-empty vector")
-    if not np.isfinite(q).all():
-        raise ValueError("q must be finite")
+    q = _check_q(q)
     K = q.shape[0]
     max_entropy = math.log(K)
     if params.tau_H > max_entropy + 1e-12:
@@ -187,7 +192,7 @@ def frank_wolfe(q: np.ndarray, params: RefineParams) -> FrankWolfeResult:
     ln K - 1e-12``: there it is the uniform vector, every entry exactly
     ``1/K``, whose computed entropy can fall short of ``tau_H`` by rounding.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = _check_q(q)
     K = q.shape[0]
     p = np.full(K, 1.0 / K)
     f_prev = float(q @ p)

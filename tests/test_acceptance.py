@@ -31,12 +31,13 @@ from sinkhorn_nms import (
     hungarian_solve,
     lmo_entropy,
     matching_loss,
-    quality_score,
+    quality_scores,
     solve,
     synth_generate,
     verify_contraction,
 )
 from sinkhorn_nms.cli import main as cli_main
+from sinkhorn_nms.geometry import box_array
 from sinkhorn_nms.rng import SplitMix64
 from sinkhorn_nms.verification import central_difference, normalized_error, random_matrix
 from conftest import grad_in_mode, solve_in_mode
@@ -253,11 +254,11 @@ def test_criterion_7_pipeline_recovery():
             for want, got in zip(gt_sorted, got_sorted):
                 assert np.allclose(want, got, atol=1e-4)
             dnms_quality = float(
-                np.mean([quality_score(r.box, gt.boxes) for r in refined])
+                np.mean(quality_scores(box_array([r.box for r in refined]), gt.boxes))
             )
             kept = greedy_nms(pset, 0.5)
             greedy_quality = float(
-                np.mean([quality_score(p.box, gt.boxes) for p in kept])
+                np.mean(quality_scores(kept.proposals.boxes, gt.boxes))
             )
             assert dnms_quality >= greedy_quality
 

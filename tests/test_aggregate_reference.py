@@ -73,9 +73,9 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     M, K = Sm.shape
     if M != len(pset):
         raise ValueError(f"assignment has {M} rows but the set has {len(pset)} proposals")
-    boxes = pset.boxes()
-    scores = pset.scores()
-    feats = pset.features()
+    boxes = pset.proposals.boxes
+    scores = pset.proposals.scores
+    feats = pset.proposals.features
     carriers = _mask_carriers(pset)
     refined: list[RefinedProposal] = []
     for k in range(K):
@@ -166,8 +166,9 @@ def deviation(S, pset) -> float:
     out = pipeline.aggregate(S, pset)
     assert len(out) == len(ref)
     masks = [p.mask.values for p in pset if p.mask is not None]
+    arrays = pset.proposals
     scales = [np.abs(v).max() if v.size else 0.0
-              for v in (pset.boxes(), pset.scores(), pset.features(), np.array(masks))]
+              for v in (arrays.boxes, arrays.scores, arrays.features, np.array(masks))]
     worst = 0.0
     for r, o in zip(ref, out):
         assert o.source_weights.tobytes() == r.source_weights.tobytes()

@@ -439,6 +439,16 @@ class TestReportSchema:
 
 
 class TestUsage:
+    def test_main_reuses_one_parser(self, scene, tmp_path, monkeypatch):
+        def must_not_build():
+            raise AssertionError("main built a parser of its own")
+
+        monkeypatch.setattr(cli, "build_parser", must_not_build)
+        out, gt_path = scene
+        report_path = tmp_path / "report.json"
+        assert run_cli("run", out, "--ground-truth", gt_path, "--k", 3, "--output", report_path) == 0
+        assert report_path.exists()
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

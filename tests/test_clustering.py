@@ -119,7 +119,7 @@ class TestInitCentroids:
         centers = np.array([p.box.center for p in pset])
         assert np.allclose(cents.spatial_centroids[0], centers.mean(axis=0), atol=1e-9)
         assert np.allclose(
-            cents.feature_centroids[0], pset.features().mean(axis=0), atol=1e-9
+            cents.feature_centroids[0], pset.proposals.features.mean(axis=0), atol=1e-9
         )
 
     def test_k_equals_m(self):

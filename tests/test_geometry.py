@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sinkhorn_nms import Box, Mask, quality_score, total_variation
+from sinkhorn_nms import Box, Mask, quality_scores, total_variation
 from sinkhorn_nms.geometry import iou_matrix
 
 
@@ -72,19 +72,20 @@ class TestIou:
 class TestQualityScore:
     def test_exact_match(self):
         b = Box(0, 0, 2, 2)
-        assert quality_score(b, [Box(5, 5, 6, 6), b]) == 1.0
+        assert quality_scores(b.as_array()[None], [Box(5, 5, 6, 6), b]).tolist() == [1.0]
 
     def test_empty_ground_truth(self):
-        assert quality_score(Box(0, 0, 1, 1), []) == 0.0
+        assert quality_scores(Box(0, 0, 1, 1).as_array()[None], []).tolist() == [0.0]
 
     def test_hand_case(self):
         # inter 2, union 6 against the first box
-        got = quality_score(Box(0, 0, 2, 2), [Box(1, 0, 3, 2), Box(10, 10, 11, 11)])
-        assert got == pytest.approx(1.0 / 3.0)
+        got = quality_scores(Box(0, 0, 2, 2).as_array()[None], [Box(1, 0, 3, 2), Box(10, 10, 11, 11)])
+        assert got.shape == (1,) and got[0] == pytest.approx(1.0 / 3.0)
 
     @given(boxes(), st.lists(boxes(), max_size=5), boxes())
     def test_monotone_in_ground_truth(self, p, gts, extra):
-        assert quality_score(p, gts + [extra]) >= quality_score(p, gts)
+        row = p.as_array()[None]
+        assert quality_scores(row, gts + [extra])[0] >= quality_scores(row, gts)[0]
 
 
 grids = st.integers(min_value=1, max_value=6).flatmap(

@@ -56,6 +56,14 @@ def test_golden_report_with_source_weights_regenerates_byte_identical(tmp_path):
     assert report == GOLDEN_REPORT_SOURCE_WEIGHTS.read_bytes()
 
 
+def test_alternating_runs_in_one_process_reproduce_both_reports(tmp_path):
+    # The parser is built once per process: a flag given to one run must not
+    # carry over to the next.
+    runs = [(("--source-weights",), GOLDEN_REPORT_SOURCE_WEIGHTS), ((), GOLDEN_REPORT)] * 2
+    for extra, golden in runs:
+        assert _run_golden(tmp_path / "report.json", *extra) == golden.read_bytes()
+
+
 def test_golden_scene_parses_and_rewrites_losslessly(tmp_path):
     pset = read_proposal_file(GOLDEN_SCENE)
     assert len(pset) == 6

@@ -3,9 +3,10 @@ previous implementations.
 
 The functions below ``# reference implementations`` are the earlier scalar
 IoU, the full M x M ``pairwise_iou`` and the baselines built on it, kept
-verbatim as the oracle: a 1 x 1 ``iou_matrix``, ``quality_score`` and
-``greedy_nms`` must agree exactly, ``soft_nms`` up to the last-ulp
-difference between ``np.exp`` and ``math.exp``.
+verbatim as the oracle, except that the baselines read the box column as
+``pset.proposals.boxes``: a 1 x 1 ``iou_matrix``, a one-row
+``quality_scores`` and ``greedy_nms`` must agree exactly, ``soft_nms`` up
+to the last-ulp difference between ``np.exp`` and ``math.exp``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
         raise ValueError("iou_thresh must lie strictly between 0 and 1")
     if len(pset) == 0:
         return pset
-    ious = pairwise_iou(pset.boxes())
+    ious = pairwise_iou(pset.proposals.boxes)
     suppressed = np.zeros(len(pset), dtype=bool)
     kept: list[int] = []
     for i in _processing_order(pset):
@@ -100,7 +101,7 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
         raise ValueError("sigma must be positive")
     if len(pset) == 0:
         return pset
-    ious = pairwise_iou(pset.boxes())
+    ious = pairwise_iou(pset.proposals.boxes)
     order = _processing_order(pset)
     scores = {i: pset.proposals[i].score for i in order}
     dropped: set[int] = set()
@@ -196,7 +197,7 @@ class TestIoUAgreement:
     @settings(max_examples=300, deadline=None)
     def test_quality_score_bitwise(self, box_list):
         p, gts = box_list[0], box_list[1:]
-        assert _bits(geometry.quality_score(p, gts)) == _bits(quality_score(p, gts))
+        assert _bits(geometry.quality_scores(p.as_array()[None], gts)[0]) == _bits(quality_score(p, gts))
 
     @given(box_lists(1, 12))
     @settings(max_examples=200, deadline=None)

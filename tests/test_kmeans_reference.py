@@ -158,7 +158,7 @@ def test_matches_reference_oracle_on_training_scenes():
     # The joint [center / diag ; feature] points that ``init_centroids`` clusters.
     for seed in range(4):
         pset, _ = synth_generate(SynthConfig(num_regions=16, proposals_per_region=8, seed=seed))
-        joint = np.hstack([box_centers(pset.boxes()) / pset.image_diag, pset.features()])
+        joint = np.hstack([box_centers(pset.proposals.boxes) / pset.image_diag, pset.proposals.features])
         for max_iters in (1, DEFAULT_MAX_ITERS):
             assert_same_as_reference(joint, 16, seed, max_iters)
 
@@ -260,7 +260,7 @@ def test_stops_at_the_first_repeated_assignment():
 def test_matches_reference_oracle_on_the_cli_scene():
     pset, _ = synth_generate(SynthConfig(num_regions=32, proposals_per_region=64, jitter=4.0,
                                          score_noise=0.05, seed=1))
-    joint = np.hstack([box_centers(pset.boxes()) / pset.image_diag, pset.features()])
+    joint = np.hstack([box_centers(pset.proposals.boxes) / pset.image_diag, pset.proposals.features])
     assert_same_as_reference(joint, 31, 1, DEFAULT_MAX_ITERS)
 
 

@@ -198,6 +198,16 @@ def test_refinement_rejects_non_finite_scores(call, q):
         call(np.array(q))
 
 
+@pytest.mark.parametrize("q", [np.array([]), np.array(1.0), np.ones((2, 2))], ids=["empty", "0-d", "2-d"])
+@pytest.mark.parametrize("call", [
+    lambda q: lmo_entropy(q, RefineParams(tau_H=0.3)),
+    lambda q: frank_wolfe(q, RefineParams(tau_H=0.3)),
+], ids=["lmo_entropy", "frank_wolfe"])
+def test_refinement_rejects_what_is_not_a_vector(call, q):
+    with pytest.raises(ValueError, match=r"^q must be a 1-d non-empty vector$"):
+        call(q)
+
+
 @pytest.mark.parametrize("S", [
     [[math.nan, 0.5], [0.5, 0.0]],
     [[0.0, 0.0], [0.0, 0.0]],

@@ -78,8 +78,8 @@ class TestAggregate:
             SynthConfig(num_regions=3, proposals_per_region=4, jitter=6.0, score_noise=0.3, seed=2)
         )
         S = random_matrix(rng, len(pset), 3, 0.01, 1.0)
-        boxes = pset.boxes()
-        scores = pset.scores()
+        boxes = pset.proposals.boxes
+        scores = pset.proposals.scores
         for r in aggregate(S, pset):
             arr = r.box.as_array()
             assert (arr >= boxes.min(axis=0) - 1e-12).all()

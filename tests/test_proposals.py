@@ -18,7 +18,7 @@ from sinkhorn_nms import (
     SynthConfig,
     dnms,
     greedy_nms,
-    quality_score,
+    quality_scores,
     soft_nms,
     synth_generate,
     validate,
@@ -85,7 +85,7 @@ def test_zero_noise_recovers_ground_truth():
         region = p.id // 3
         assert p.box == gt.boxes[region]
         assert p.score == 1.0
-        assert quality_score(p.box, [gt.boxes[region]]) == 1.0
+        assert quality_scores(p.box.as_array()[None], [gt.boxes[region]]).tolist() == [1.0]
 
 
 def test_generated_sets_are_valid():
@@ -100,7 +100,7 @@ def test_prototypes_are_separated():
     pset, _ = synth_generate(
         SynthConfig(num_regions=6, proposals_per_region=1, feature_dim=4, seed=3)
     )
-    feats = pset.features()
+    feats = pset.proposals.features
     feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
     cos = feats @ feats.T
     off_diag = cos[~np.eye(len(pset), dtype=bool)]
@@ -231,8 +231,8 @@ class TestArrayStorage:
         pset = self.scene()
         p = pset.proposals[-1]
         assert type(p.id) is int and type(p.score) is float
-        assert p.id == 5 and p.box.as_array().tobytes() == pset.boxes()[5].tobytes()
-        assert np.shares_memory(p.feature, pset.features())
+        assert p.id == 5 and p.box.as_array().tobytes() == pset.proposals.boxes[5].tobytes()
+        assert np.shares_memory(p.feature, pset.proposals.features)
         # every read of that row builds an equal value
         assert _bits(pset.proposals[5]) == _bits(p) == _bits(list(pset)[5])
         ref = weakref.ref(p)
@@ -249,14 +249,14 @@ class TestArrayStorage:
         rescored = pset.take(np.array([4]), np.array([0.25])).proposals[0]
         assert rescored.score == 0.25
         assert _bits(dataclasses.replace(rescored, score=views[4].score)) == _bits(views[4])
-        assert pset.scores()[4] != 0.25
+        assert pset.proposals.scores[4] != 0.25
 
     def test_object_built_set_hands_back_its_objects(self):
         objs = tuple(self.scene())
         pset = ProposalSet(proposals=objs, image_width=640.0, image_height=640.0, feature_dim=8)
         assert list(map(_bits, pset)) == list(map(_bits, objs))
         assert _bits(pset.take(np.array([2])).proposals[0]) == _bits(objs[2])
-        assert pset.boxes().tobytes() == self.scene().boxes().tobytes()
+        assert pset.proposals.boxes.tobytes() == self.scene().proposals.boxes.tobytes()
 
     def test_ragged_object_features_rejected(self):
         objs = (
@@ -315,7 +315,7 @@ class TestArrayStorage:
 
         pset = self.scene()
         want = np.array([p.box.center for p in pset])
-        assert box_centers(pset.boxes()).tobytes() == want.tobytes()
+        assert box_centers(pset.proposals.boxes).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("width, height", [

@@ -309,7 +309,7 @@ def _size_violations(pset) -> list[str]:
 def _same_arrays(got, want):
     assert got.proposals.ids.tolist() == [p.id for p in want]
     for name in ("boxes", "scores", "features"):
-        g, w = getattr(got, name)(), getattr(want, name)()
+        g, w = getattr(got.proposals, name), getattr(want, name)()
         assert g.dtype == w.dtype == np.float64
         assert g.tobytes() == w.tobytes(), name
         if len(want):
@@ -511,7 +511,7 @@ class TestDeliberateDifferences:
     def test_uniform_feature_dim_mismatch_reads_and_is_reported(self, tmp_path):
         path = _write(tmp_path / "p.jsonl", [_rec(0, (1.0, 2.0, 3.0)), _rec(1, (1.0, 2.0, 3.0))])
         pset = formats.read_proposal_file(path)
-        assert pset.features().shape == (2, 3)
+        assert pset.proposals.features.shape == (2, 3)
         assert proposals.validate(pset) == [
             f"proposal id {i}: feature dimension (3,) does not match set feature_dim 2"
             for i in (0, 1)
