@@ -1,13 +1,12 @@
 """Proposal containers and a deterministic synthetic scene generator.
 
-A ``ProposalSet`` stores its proposals as arrays (``pset.proposals``, a
-``ProposalArrays``): ids, scores, boxes, features and an optional mask tuple,
-all read-only, which the pipeline reads directly.  A set built from
-``Proposal`` objects stacks them once into that storage.  ``Proposal``
-remains the per-item API: each read of a row builds a new ``Proposal`` value
-from it, so two reads of one row are equal by value, not the same object.
-Features of differing shapes cannot be stacked and are rejected on
-construction.
+A ``ProposalSet`` is built from a ``ProposalArrays`` (``pset.proposals``):
+ids, scores, boxes, features and an optional mask tuple, all read-only, which
+the pipeline reads directly.  Its constructor checks each column's dtype
+before the cast, so ids are integers that fit in int64 and the other columns
+numbers.  ``Proposal`` is the row view: each read of a row builds a new
+``Proposal`` value from it, so two reads of one row are equal by value, not
+the same object.
 
 ``synth_generate`` builds desk-scale scenes with known structure: ground-truth
 regions at seeded pseudo-random positions, proposals jittered around them,
@@ -19,7 +18,6 @@ prototypes that are guaranteed to be separable.  Identical configurations
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -75,14 +73,26 @@ class ProposalArrays(Sequence):
     masks: tuple[Mask | None, ...] | None = None
 
     def __post_init__(self):
-        for name, dtype in (("ids", np.int64), ("scores", np.float64),
-                            ("boxes", np.float64), ("features", np.float64)):
+        # Each column's dtype is checked as given: the casts below would
+        # truncate float ids, read bools as 0 and 1, wrap uint64 ids past
+        # int64 and parse strings as numbers.
+        for name, dtype, kinds in (("ids", np.int64, "iu"), ("scores", np.float64, "iuf"),
+                                   ("boxes", np.float64, "iuf"), ("features", np.float64, "iuf")):
+            try:
+                given = np.asarray(getattr(self, name))
+            except ValueError as exc:  # ragged rows
+                raise ValueError(f"{name}: {exc}") from exc
+            if given.dtype.kind not in kinds:
+                what = "integers" if name == "ids" else "numbers"
+                raise ValueError(f"{name} must be {what}, got dtype {given.dtype}")
             # a read-only view; the caller's array stays writable
-            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view = np.asarray(given, dtype=dtype).view()
+            if given.dtype.kind == "u" and (view < 0).any():  # wrapped past int64
+                raise ValueError(f"{name} must fit in int64, got {given.max()}")
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-        M = self.ids.shape[0]
-        if self.ids.ndim != 1 or self.scores.shape != (M,) or self.boxes.shape != (M, 4):
+        M = len(self.ids) if self.ids.ndim == 1 else -1  # -1 matches no shape
+        if self.scores.shape != (M,) or self.boxes.shape != (M, 4):
             raise ValueError("ids, scores and boxes must be (M,), (M,) and (M, 4) arrays")
         if self.features.ndim < 1 or self.features.shape[0] != M:
             raise ValueError("features must hold one row per proposal")
@@ -90,34 +100,6 @@ class ProposalArrays(Sequence):
             object.__setattr__(self, "masks", tuple(self.masks))
             if len(self.masks) != M:
                 raise ValueError("masks must hold one entry per proposal")
-
-    @classmethod
-    def from_proposals(cls, proposals: Sequence[Proposal]) -> "ProposalArrays":
-        """Stack proposal objects.
-
-        Features of differing shapes cannot be stacked, and ids must be
-        integers that fit in int64; anything else raises.
-        """
-        shape = proposals[0].feature.shape if proposals else (0,)
-        for i, p in enumerate(proposals):
-            if p.feature.shape != shape:
-                raise ValueError(
-                    f"proposal {i}: feature shape {p.feature.shape} differs from "
-                    f"{shape} of the earlier proposals; ragged features cannot be stacked"
-                )
-        masks = tuple(p.mask for p in proposals)
-        return cls(
-            # an id that is not an integer would be truncated, one outside int64 wrapped
-            ids=np.array([operator.index(p.id) for p in proposals], dtype=np.int64),
-            scores=np.array([p.score for p in proposals], dtype=np.float64),
-            boxes=np.array(
-                [(p.box.x1, p.box.y1, p.box.x2, p.box.y2) for p in proposals], np.float64
-            ).reshape(-1, 4),
-            features=np.array([p.feature for p in proposals], np.float64).reshape(
-                (len(proposals), *shape)
-            ),
-            masks=masks if any(m is not None for m in masks) else None,
-        )
 
     def __reduce__(self):
         # pickle through the constructor, which makes the copy's arrays
@@ -161,15 +143,13 @@ class ProposalArrays(Sequence):
 class ProposalSet:
     """Ordered proposals plus the image extent and shared feature dimension.
 
-    ``proposals`` is always a ``ProposalArrays``, the one storage, whose
-    columns callers read directly (``pset.proposals.boxes``).  A sequence of
-    ``Proposal`` objects given instead is stacked into one on construction;
-    the file reader and ``synth_generate`` pass their arrays directly.
+    ``proposals`` must be a ``ProposalArrays``, whose constructor checks ids
+    and column types, and whose columns callers read directly
+    (``pset.proposals.boxes``); anything else raises ``TypeError``.
 
-    Construction is lenient so that malformed sets can be inspected; use
-    :func:`validate` to obtain the list of invariant violations.  Only
-    features of differing shapes are rejected, because they cannot be
-    stacked.
+    Construction is lenient about values so that malformed sets can be
+    inspected; use :func:`validate` to obtain the list of invariant
+    violations.
     """
 
     proposals: ProposalArrays
@@ -179,7 +159,9 @@ class ProposalSet:
 
     def __post_init__(self):
         if not isinstance(self.proposals, ProposalArrays):
-            object.__setattr__(self, "proposals", ProposalArrays.from_proposals(tuple(self.proposals)))
+            raise TypeError(
+                f"proposals must be a ProposalArrays, got {type(self.proposals).__name__}"
+            )
 
     def __len__(self) -> int:
         return len(self.proposals)

@@ -164,8 +164,6 @@ def lmo_entropy(q: np.ndarray, params: RefineParams) -> SimplexVector:
         # not, H is flat to rounding there and the next step is a midpoint.
         probe = min(max(new, _within_eps(lo, 1.0)), _within_eps(hi, -1.0))
         newton = probe == new
-        if not lo < probe < hi:
-            probe = 0.5 * (lo + hi)
         before, last, lam = last, abs(math.log(probe / lam)), probe
         p = _softmax_scaled(q, lam)
         h = entropy(p)

@@ -307,11 +307,8 @@ def verify_contraction(
         distances.append(d)
         if d < _DH_FLOOR:
             break
-    ratios = tuple(
-        distances[t + 1] / distances[t]
-        for t in range(len(distances) - 1)
-        if distances[t] >= _DH_FLOOR and distances[t + 1] >= _DH_FLOOR
-    )
+    # only the last distance can lie below the floor
+    ratios = tuple(b / a for a, b in zip(distances, distances[1:]) if b >= _DH_FLOOR)
     bound = contraction_rate(values, params.tau)
     max_ratio = max(ratios) if ratios else None
     passed = max_ratio is None or max_ratio <= bound + 1e-9

@@ -286,13 +286,6 @@ class FrankWolfeRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceSweepReport:
-    contraction: tuple[ContractionRow, ...]
-    frank_wolfe: tuple[FrankWolfeRow, ...]
-    passed: bool
-
-
 def contraction_sweep(
     taus: tuple[float, ...] = (0.5, 1.0, 2.0),
     trials: int = 20,
@@ -372,16 +365,3 @@ def frank_wolfe_sweep(trials: int = 100, seed: int = 0) -> tuple[FrankWolfeRow, 
             )
         )
     return tuple(rows)
-
-
-def convergence_sweep(
-    taus: tuple[float, ...] = (0.5, 1.0, 2.0),
-    trials: int = 20,
-    m_max: int = 10,
-    k_max: int = 6,
-    seed: int = 0,
-) -> ConvergenceSweepReport:
-    contraction = contraction_sweep(taus=taus, trials=trials, m_max=m_max, k_max=k_max, seed=seed)
-    fw = frank_wolfe_sweep(trials=max(trials, 20), seed=seed + 1)
-    passed = all(r.passed for r in contraction) and all(r.passed for r in fw)
-    return ConvergenceSweepReport(contraction=contraction, frank_wolfe=fw, passed=passed)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from sinkhorn_nms import (
     Box,
     Mask,
-    Proposal,
+    ProposalArrays,
     ProposalSet,
     RefinedProposal,
     SinkhornParams,
@@ -218,17 +218,14 @@ def scenes(draw):
         values = rng.uniform(0.0, 1.0, shape)
         masks.append(Mask(signed(np.round(values, 1) * (rng.random(shape) < 0.5)) if on_grid else values))
 
-    proposals = tuple(
-        Proposal(
-            id=i,
-            score=float(scores[i]),
-            box=Box(x1[i], y1[i], x1[i] + w[i], y1[i] + h[i]),
-            feature=feats[i],
-            mask=masks[i],
-        )
-        for i in range(M)
+    arrays = ProposalArrays(
+        ids=np.arange(M),
+        scores=scores,
+        boxes=np.stack([x1, y1, x1 + w, y1 + h], axis=1),
+        features=feats,
+        masks=tuple(masks) if any(m is not None for m in masks) else None,
     )
-    pset = ProposalSet(proposals=proposals, image_width=200.0, image_height=200.0, feature_dim=F)
+    pset = ProposalSet(proposals=arrays, image_width=200.0, image_height=200.0, feature_dim=F)
 
     kind = draw(st.sampled_from(["uniform", "rounded", "one_hot"]))
     if kind == "one_hot":
@@ -278,16 +275,20 @@ def copies_scenes(draw):
         x1, y1 = signed(rng.uniform(0.0, 100.0, 2))
         w, h = rng.uniform(0.0, 50.0, 2)
         mask = Mask(signed(rng.uniform(0.0, 1.0, grid))) if rng.random() < 0.7 else None
-        originals.append((float(rng.uniform(0.0, 1.0)), Box(x1, y1, x1 + w, y1 + h),
+        originals.append((float(rng.uniform(0.0, 1.0)), (x1, y1, x1 + w, y1 + h),
                           signed(rng.normal(size=F)), mask))
     order = rng.permutation(n * repeats)
     source = order % n
-    proposals = tuple(
-        Proposal(id=i, score=originals[j][0], box=originals[j][1], feature=originals[j][2], mask=originals[j][3])
-        for i, j in enumerate(source)
+    scores, boxes, features, masks = zip(*(originals[j] for j in source))
+    arrays = ProposalArrays(
+        ids=np.arange(len(source)),
+        scores=scores,
+        boxes=boxes,
+        features=features,
+        masks=masks if any(m is not None for m in masks) else None,
     )
-    pset = ProposalSet(proposals=proposals, image_width=200.0, image_height=200.0, feature_dim=F)
-    S = np.zeros((len(proposals), K))
+    pset = ProposalSet(proposals=arrays, image_width=200.0, image_height=200.0, feature_dim=F)
+    S = np.zeros((len(source), K))
     for k in range(K):
         rows = np.flatnonzero(source == rng.integers(0, n))
         S[rows, k] = rng.uniform(0.01, 1.0, len(rows))

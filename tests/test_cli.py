@@ -323,6 +323,13 @@ class TestConvergence:
         assert field in capsys.readouterr().err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("taus", ["0.5,x", "0.5,,1", ""])
+    def test_malformed_taus_usage_error(self, capsys, taus):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("convergence", "--taus", taus)
+        assert exc.value.code == 2
+        assert "expected a comma-separated list of floats" in capsys.readouterr().err
+
     def test_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -359,6 +366,18 @@ class TestBench:
             assert run_cli("bench", "--m", 16, "--k", 2, "--reps", reps,
                            "--output", report_path) == 0
             assert json.loads(report_path.read_text())["config"]["reps"] == reps
+
+    def test_synthesized_scene_cut_to_m(self, tmp_path):
+        # 8 regions of ceil(60 / 8) = 8 proposals: 64, of which the first 60 run
+        report_path = tmp_path / "bench60.json"
+        assert run_cli("bench", "--m", 60, "--k", 8, "--reps", 1, "--output", report_path) == 0
+        config = json.loads(report_path.read_text())["config"]
+        assert (config["m"], config["k"]) == (60, 8)
+
+    def test_report_to_stdout_without_output(self, capsys):
+        assert run_cli("bench", "--m", 4, "--k", 2, "--reps", 1) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["format"] == "bench-report" and report["config"]["m"] == 4
 
     def test_zero_reps_usage_error(self, tmp_path):
         assert run_cli("bench", "--reps", 0) == 2

@@ -1,10 +1,10 @@
-import dataclasses
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from sinkhorn_nms import (
+    Centroids,
     SynthConfig,
     clustering,
     estimate_k,
@@ -28,6 +28,10 @@ class TestKMeans:
         assert sorted(map(tuple, result.centroids.tolist())) == sorted(
             map(tuple, pts.tolist())
         )
+
+    def test_points_not_2d_raise(self):
+        with pytest.raises(ValueError, match="^points must be a 2-d array$"):
+            kmeans(np.zeros(4), K=1, seed=0)
 
     def test_k_larger_than_n_raises(self):
         with pytest.raises(ValueError, match="insufficient points"):
@@ -99,6 +103,18 @@ class TestKMeans:
         assert result.wcss[-1] <= worst + 1e-9
 
 
+@pytest.mark.parametrize("mu, nu, message", [
+    (np.zeros((2, 3)), np.zeros((3, 2)), "inconsistent centroid shapes"),
+    (np.zeros((2, 3)), np.zeros((2, 3)), "inconsistent centroid shapes"),
+    (np.zeros((0, 3)), np.zeros((0, 2)), "need at least one centroid"),
+    (np.array([[np.nan]]), np.zeros((1, 2)), "centroids must be finite"),
+    (np.zeros((1, 1)), np.array([[0.0, np.inf]]), "centroids must be finite"),
+])
+def test_centroids_rejected(mu, nu, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Centroids(mu, nu)
+
+
 class TestInitCentroids:
     def test_recovers_zero_jitter_centers(self):
         pset, gt = synth_generate(
@@ -162,7 +178,7 @@ class TestEstimateK:
     def test_empty_raises(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=0))
         with pytest.raises(ValueError, match="no proposals"):
-            estimate_k(dataclasses.replace(pset, proposals=()))
+            estimate_k(pset.take(np.arange(0)))
 
     def test_floor_excludes_everything_clamps_to_one(self, three_box_set):
         with patch.object(clustering, "DEFAULT_SCORE_FLOOR", 0.99):

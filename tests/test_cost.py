@@ -26,6 +26,8 @@ from sinkhorn_nms import (
 )
 from sinkhorn_nms._checks import check_real
 
+from conftest import with_columns
+
 logger = logging.getLogger(__name__)
 
 
@@ -158,11 +160,7 @@ class TestBuildCost:
 
     def test_score_term_broadcast(self, scene):
         pset, cents = scene
-        import dataclasses
-
-        p0 = dataclasses.replace(pset.proposals[0], score=1.0)
-        p1 = dataclasses.replace(pset.proposals[1], score=0.5)
-        two = dataclasses.replace(pset, proposals=(p0, p1))
+        two = pset.take(np.arange(2), scores=np.array([1.0, 0.5]))
         C = build_cost(two, cents, CostWeights(alpha=1.0, beta=0.0, gamma=0.0))
         assert np.allclose(C.values[0], 0.0)
         assert np.allclose(C.values[1], 0.5)
@@ -181,25 +179,20 @@ class TestBuildCost:
         assert (C.values >= 0.0).all()
 
     def test_permutation_equivariant(self, scene):
-        import dataclasses
-
         pset, cents = scene
         w = CostWeights()
         base = build_cost(pset, cents, w).values
         perm = [3, 1, 5, 0, 2, 4]
-        shuffled = dataclasses.replace(
-            pset, proposals=tuple(pset.proposals[i] for i in perm)
-        )
+        shuffled = pset.take(np.array(perm))
         got = build_cost(shuffled, cents, w).values
         assert np.array_equal(got, base[perm])
 
     def test_zero_feature_row_uses_neutral_distance(self, scene, caplog):
-        import dataclasses
-
         pset, cents = scene
-        rows = list(pset.proposals)
-        rows[2] = dataclasses.replace(rows[2], feature=np.zeros(pset.feature_dim))
-        zeroed = dataclasses.replace(pset, proposals=tuple(rows))
+        features = pset.proposals.features.copy()
+        features[2] = 0.0
+        zeroed = with_columns(pset, features=features)
+        rows = list(zeroed)
         w = CostWeights(alpha=0.5, beta=2.0, gamma=0.1)
         with caplog.at_level(logging.WARNING):
             C = build_cost(zeroed, cents, w).values
@@ -220,6 +213,12 @@ class TestBuildCost:
         )
         with pytest.raises(ValueError):
             build_cost(pset, bad, CostWeights())
+
+
+@pytest.mark.parametrize("values", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(3)])
+def test_empty_or_not_2d_cost_matrix_rejected(values):
+    with pytest.raises(ValueError, match="^cost matrix must be 2-d and non-empty$"):
+        CostMatrix(values)
 
 
 class TestCostWeights:

@@ -12,7 +12,7 @@ from sinkhorn_nms import (
     GroundTruth,
     Mask,
     PipelineConfig,
-    Proposal,
+    ProposalArrays,
     ProposalSet,
     SynthConfig,
     dnms,
@@ -75,15 +75,9 @@ class TestProposalFileRoundTrip:
 
     def test_mask_round_trip(self, tmp_path):
         mask = Mask(np.array([[0.0, 0.5], [1.0, 0.125]]))
-        pset = ProposalSet(
-            proposals=(
-                Proposal(id=0, score=0.5, box=Box(1, 1, 3, 3),
-                         feature=np.array([0.25]), mask=mask),
-            ),
-            image_width=10.0,
-            image_height=10.0,
-            feature_dim=1,
-        )
+        arrays = ProposalArrays(ids=[0], scores=[0.5], boxes=[[1.0, 1.0, 3.0, 3.0]],
+                                features=[[0.25]], masks=(mask,))
+        pset = ProposalSet(proposals=arrays, image_width=10.0, image_height=10.0, feature_dim=1)
         path = tmp_path / "masked.jsonl"
         write_proposal_file(path, pset)
         assert sets_equal(pset, read_proposal_file(path))
@@ -112,13 +106,13 @@ class TestProposalFileRoundTrip:
         min_size=1, max_size=4,
     ))
     def test_numeric_round_trip_exact(self, tmp_path_factory, rows):
-        proposals = tuple(
-            Proposal(id=i, score=score, box=Box(x, y, x + w, y + h),
-                     feature=np.array(feat))
-            for i, (score, x, y, w, h, feat) in enumerate(rows)
+        arrays = ProposalArrays(
+            ids=np.arange(len(rows)),
+            scores=[score for score, *_ in rows],
+            boxes=[(x, y, x + w, y + h) for _, x, y, w, h, _ in rows],
+            features=[feat for *_, feat in rows],
         )
-        pset = ProposalSet(proposals=proposals, image_width=1.0, image_height=1.0,
-                           feature_dim=2)
+        pset = ProposalSet(proposals=arrays, image_width=1.0, image_height=1.0, feature_dim=2)
         path = tmp_path_factory.mktemp("rt") / "p.jsonl"
         write_proposal_file(path, pset)
         assert sets_equal(pset, read_proposal_file(path))
@@ -145,13 +139,14 @@ class TestProposalFileWriter:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_numpy_integer_id_is_written(self):
-        def one(ident):
-            p = Proposal(id=ident, score=0.5, box=Box(0.0, 0.0, 1.0, 1.0), feature=np.ones(2))
+        def one(ids):
+            arrays = ProposalArrays(ids=ids, scores=[0.5], boxes=[[0.0, 0.0, 1.0, 1.0]],
+                                    features=np.ones((1, 2)))
             return proposal_set_to_lines(
-                ProposalSet(proposals=(p,), image_width=2.0, image_height=2.0, feature_dim=2)
+                ProposalSet(proposals=arrays, image_width=2.0, image_height=2.0, feature_dim=2)
             )
 
-        assert one(np.int64(7)) == one(7)
+        assert one(np.array([7], np.uint8)) == one(np.array([7], np.int32)) == one([7])
 
     def test_non_integer_feature_dim_is_not_written(self):
         # feature_dim counts features: a float there is named, not written as 8.0
@@ -161,8 +156,9 @@ class TestProposalFileWriter:
 
     def test_integers_are_written_as_floats(self):
         mask = Mask(np.array([[0, 1]]))
-        p = Proposal(id=0, score=1, box=Box(0, 0, 1, 1), feature=np.array([1, 2]), mask=mask)
-        pset = ProposalSet(proposals=(p,), image_width=2.0, image_height=2.0, feature_dim=2)
+        arrays = ProposalArrays(ids=[0], scores=[1], boxes=[[0, 0, 1, 1]], features=[[1, 2]],
+                                masks=(mask,))
+        pset = ProposalSet(proposals=arrays, image_width=2.0, image_height=2.0, feature_dim=2)
         assert proposal_set_to_lines(pset)[1] == (
             '{"box":[0.0,0.0,1.0,1.0],"feature":[1.0,2.0],"id":0,'
             '"mask":{"height":1,"values":[0.0,1.0],"width":2},"score":1.0}\n'
@@ -181,6 +177,22 @@ class TestProposalFileErrors:
             read_proposal_file(path)
         assert err.value.line == 3
         assert "line 3" in str(err.value)
+
+    def test_score_too_large_for_a_float_names_line(self, tmp_path):
+        # the column reader leaves the file to the per-record loop, which names the record
+        path = tmp_path / "big.jsonl"
+        pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=2, seed=1))
+        write_proposal_file(path, pset)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["score"] = 10**400
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProposalFileError) as err:
+            read_proposal_file(path)
+        assert str(err.value) == (
+            "line 3: malformed proposal record: int too large to convert to float"
+        )
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -223,6 +235,13 @@ class TestGroundTruthFile:
         again = read_ground_truth(path)
         assert again.boxes == gt.boxes
         assert again.labels == gt.labels
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        header = json.dumps({"format": "ground-truth", "version": 1})
+        path.write_text(f'{header}\n\n{{"box": [0, 0, 1, 1], "label": 3}}\n   \n')
+        again = read_ground_truth(path)
+        assert again.boxes == (Box(0.0, 0.0, 1.0, 1.0),) and again.labels == (3,)
 
     def test_synth_round_trip(self, tmp_path):
         _, gt = synth_generate(SynthConfig(num_regions=3, proposals_per_region=1, seed=31))

@@ -113,6 +113,11 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             Mask(np.array([[0.0, 1.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^mask values must be finite$"):
+            Mask(np.array([[0.0, bad]]))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Mask(np.zeros((0, 3)))

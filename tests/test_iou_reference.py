@@ -4,9 +4,10 @@ previous implementations.
 The functions below ``# reference implementations`` are the earlier scalar
 IoU, the full M x M ``pairwise_iou`` and the baselines built on it, kept
 verbatim as the oracle, except that the baselines read the box column as
-``pset.proposals.boxes``: a 1 x 1 ``iou_matrix``, a one-row
-``quality_scores`` and ``greedy_nms`` must agree exactly, ``soft_nms`` up
-to the last-ulp difference between ``np.exp`` and ``math.exp``.
+``pset.proposals.boxes`` and select their survivors with ``pset.take``: a
+1 x 1 ``iou_matrix``, a one-row ``quality_scores`` and ``greedy_nms`` must
+agree exactly, ``soft_nms`` up to the last-ulp difference between
+``np.exp`` and ``math.exp``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sinkhorn_nms import Box, Proposal, ProposalSet, baselines, geometry
+from sinkhorn_nms import Box, Proposal, ProposalArrays, ProposalSet, baselines, geometry
 
 # reference implementations
 
@@ -84,9 +85,7 @@ def greedy_nms(pset: ProposalSet, iou_thresh: float) -> ProposalSet:
         # only kept boxes suppress; a box never outlives its own row update
         # because it is appended first
         suppressed |= ious[i] > iou_thresh
-    kept_set = set(kept)
-    survivors = tuple(p for idx, p in enumerate(pset) if idx in kept_set)
-    return replace(pset, proposals=survivors)
+    return pset.take(sorted(kept))
 
 
 def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet:
@@ -116,11 +115,8 @@ def soft_nms(pset: ProposalSet, sigma: float, score_floor: float) -> ProposalSet
             scores[j] *= math.exp(-(ious[i, j] ** 2) / sigma)
             if scores[j] < score_floor:
                 dropped.add(j)
-    kept_set = set(kept)
-    survivors = tuple(
-        replace(p, score=scores[idx]) for idx, p in enumerate(pset) if idx in kept_set
-    )
-    return replace(pset, proposals=survivors)
+    rows = sorted(kept)
+    return pset.take(rows, [scores[idx] for idx in rows])
 
 
 def _bits(x: float) -> bytes:
@@ -161,11 +157,13 @@ def proposal_sets(draw, max_size: int = 40) -> ProposalSet:
         score = st.sampled_from([0.1, 0.3, 0.5, 0.5, 0.9, 1.0])
     else:
         score = st.floats(0.0, 1.0, allow_nan=False)
-    proposals = tuple(
-        Proposal(id=i, score=draw(score), box=b, feature=np.zeros(1))
-        for i, b in zip(ids, box_list)
+    arrays = ProposalArrays(
+        ids=np.array(ids, dtype=np.int64),
+        scores=np.array([draw(score) for _ in box_list], dtype=np.float64),
+        boxes=geometry.box_array(box_list),
+        features=np.zeros((n, 1)),
     )
-    return ProposalSet(proposals=proposals, image_width=500.0, image_height=500.0, feature_dim=1)
+    return ProposalSet(proposals=arrays, image_width=500.0, image_height=500.0, feature_dim=1)
 
 
 class _RecordingFloor(float):

@@ -124,6 +124,11 @@ class TestMatchingArguments:
                 call()
 
 
+    def test_coupling_of_another_shape_raises(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 2\) vs \(2, 3\)$"):
+            matching_loss(self.C, np.full((2, 3), 1 / 6), hungarian_solve(self.C), 0.0)
+
+
 class TestBce:
     def test_confident_correct(self):
         assert bce(1.0 - 1e-7, 1) == pytest.approx(0.0, abs=1e-6)

@@ -125,7 +125,6 @@ def test_matching_check_rejects_bad_lambda_kl(value, no_trials):
     verification.gradcheck_matching,
     verification.jacobian_formula_check,
     verification.contraction_sweep,
-    verification.convergence_sweep,
 ])
 def test_harness_rejects_sizes_below_two(check, kwargs, name, no_trials):
     # Instances are at least 2 x 2, so a smaller bound used to be clamped.
@@ -139,7 +138,7 @@ def test_harness_rejects_sizes_below_two(check, kwargs, name, no_trials):
     ((0.5, math.nan), r"^tau must be finite, got nan"),
     ((math.inf, 0.5), r"^tau must be finite, got inf"),
 ])
-@pytest.mark.parametrize("sweep", [verification.contraction_sweep, verification.convergence_sweep])
+@pytest.mark.parametrize("sweep", [verification.contraction_sweep])
 def test_sweep_rejects_bad_tau_before_any_trial(sweep, taus, message, no_trials):
     with pytest.raises(ValueError, match=message):
         sweep(taus=taus, trials=5)

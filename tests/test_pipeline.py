@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from sinkhorn_nms import (
     Marginals,
     Mask,
     PipelineConfig,
-    Proposal,
+    ProposalArrays,
     ProposalSet,
     RefineParams,
     SinkhornParams,
@@ -31,15 +29,11 @@ RECOVERY_CONFIG = PipelineConfig(
 )
 
 
-def two_proposal_set(scores=(0.8, 0.6), masks=(None, None)):
-    proposals = (
-        Proposal(id=0, score=scores[0], box=Box(0, 0, 2, 2),
-                 feature=np.array([1.0, 0.0]), mask=masks[0]),
-        Proposal(id=1, score=scores[1], box=Box(2, 0, 4, 2),
-                 feature=np.array([0.0, 1.0]), mask=masks[1]),
-    )
-    return ProposalSet(proposals=proposals, image_width=10.0, image_height=10.0,
-                       feature_dim=2)
+def two_proposal_set(scores=(0.8, 0.6), masks=None):
+    arrays = ProposalArrays(ids=np.arange(2), scores=np.array(scores, dtype=float),
+                            boxes=np.array([[0.0, 0.0, 2.0, 2.0], [2.0, 0.0, 4.0, 2.0]]),
+                            features=np.eye(2), masks=masks)
+    return ProposalSet(proposals=arrays, image_width=10.0, image_height=10.0, feature_dim=2)
 
 
 class TestAggregate:
@@ -85,6 +79,10 @@ class TestAggregate:
             assert (arr >= boxes.min(axis=0) - 1e-12).all()
             assert (arr <= boxes.max(axis=0) + 1e-12).all()
             assert scores.min() <= r.score <= scores.max()
+
+    def test_row_count_mismatch_raises(self):
+        with pytest.raises(ValueError, match="^assignment has 3 rows but the set has 2 proposals$"):
+            aggregate(np.full((3, 1), 1 / 3), two_proposal_set())
 
     def test_zero_column_raises(self):
         pset = two_proposal_set()
@@ -195,7 +193,7 @@ class TestDnms:
 
     def test_empty_set_raises(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=0))
-        empty = dataclasses.replace(pset, proposals=())
+        empty = pset.take(np.arange(0))
         with pytest.raises(ValueError, match="no proposals"):
             dnms(empty, None, PipelineConfig(k=1))
 
@@ -265,7 +263,7 @@ class TestGreedyNms:
         assert [p.id for p in kept] == [0, 1, 2]
 
     def test_single_proposal(self, three_box_set):
-        single = dataclasses.replace(three_box_set, proposals=three_box_set.proposals[:1])
+        single = three_box_set.take(np.arange(1))
         kept = greedy_nms(single, 0.5)
         assert [p.id for p in kept] == [0]
 
@@ -287,12 +285,7 @@ class TestGreedyNms:
             assert p.feature.tobytes() == o.feature.tobytes()
 
     def test_tie_broken_by_lower_id(self, three_box_set):
-        tied = dataclasses.replace(
-            three_box_set,
-            proposals=tuple(
-                dataclasses.replace(p, score=0.5) for p in three_box_set.proposals
-            ),
-        )
+        tied = three_box_set.take(np.arange(3), scores=np.full(3, 0.5))
         kept = greedy_nms(tied, 0.5)
         assert kept.proposals[0].id == 0
 

@@ -5,25 +5,21 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sinkhorn_nms import (
     Box,
-    Mask,
-    PipelineConfig,
+    GroundTruth,
     Proposal,
     ProposalArrays,
     ProposalSet,
     SynthConfig,
-    dnms,
-    greedy_nms,
     quality_scores,
-    soft_nms,
     synth_generate,
     validate,
 )
-from sinkhorn_nms.formats import dumps_canonical, proposal_set_to_lines, run_report
+from sinkhorn_nms.formats import proposal_set_to_lines
+
+from conftest import with_columns
 
 
 def _bits(p: Proposal) -> tuple:
@@ -137,8 +133,7 @@ class TestValidate:
 
     def test_duplicate_ids(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=2, seed=5))
-        dup = dataclasses.replace(pset.proposals[1], id=pset.proposals[0].id)
-        broken = dataclasses.replace(pset, proposals=(pset.proposals[0], dup))
+        broken = with_columns(pset, ids=np.array([0, 0]))
         violations = validate(broken)
         assert len(violations) == 1
         assert "duplicate id" in violations[0]
@@ -146,24 +141,21 @@ class TestValidate:
 
     def test_score_out_of_range(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=2, seed=5))
-        bad = dataclasses.replace(pset.proposals[1], score=1.5)
-        broken = dataclasses.replace(pset, proposals=(pset.proposals[0], bad))
+        broken = pset.take(np.arange(2), scores=np.array([pset.proposals.scores[0], 1.5]))
         violations = validate(broken)
         assert len(violations) == 1
-        assert f"id {bad.id}" in violations[0]
+        assert "id 1" in violations[0]
         assert "1.5" in violations[0]
 
     def test_box_outside_image(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=5))
-        bad = dataclasses.replace(
-            pset.proposals[0], box=Box(0.0, 0.0, pset.image_width + 1.0, 10.0)
-        )
-        violations = validate(dataclasses.replace(pset, proposals=(bad,)))
+        bad = with_columns(pset, boxes=np.array([[0.0, 0.0, pset.image_width + 1.0, 10.0]]))
+        violations = validate(bad)
         assert any("outside image" in v for v in violations)
 
     def test_box_corners_out_of_order_or_not_finite(self):
-        # Only a set built from arrays can hold such boxes; Box and the file
-        # reader reject them.
+        # Box and the file reader reject such boxes; the column constructor
+        # takes them.
         boxes = np.array([[5, 5, 1, 1], [np.nan, 0, 1, 1], [12, 0, 11, 1]], dtype=float)
         arrays = ProposalArrays(ids=np.arange(3), scores=np.array([0.5, 0.5, 1.5]),
                                 boxes=boxes, features=np.ones((3, 2)))
@@ -179,13 +171,12 @@ class TestValidate:
 
     def test_feature_dim_mismatch(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=5))
-        bad = dataclasses.replace(pset.proposals[0], feature=np.array([1.0, 2.0]))
-        violations = validate(dataclasses.replace(pset, proposals=(bad,)))
+        violations = validate(with_columns(pset, features=np.array([[1.0, 2.0]])))
         assert any("feature dimension" in v for v in violations)
 
     def test_empty_set(self):
         pset, _ = synth_generate(SynthConfig(num_regions=1, proposals_per_region=1, seed=5))
-        violations = validate(dataclasses.replace(pset, proposals=()))
+        violations = validate(pset.take(np.arange(0)))
         assert violations == ["proposal set is empty"]
 
     @pytest.mark.parametrize("dim", [8.0, 8.5, float("nan"), "8"])
@@ -204,10 +195,23 @@ class TestValidate:
         assert proposal_set_to_lines(good) == proposal_set_to_lines(pset)
 
 
+def test_ground_truth_labels_must_parallel_boxes():
+    boxes = (Box(0, 0, 1, 1), Box(1, 1, 2, 2))
+    with pytest.raises(ValueError, match="^labels must parallel boxes$"):
+        GroundTruth(boxes=boxes, labels=(0, 1, 2))
+
+
 def test_proposal_feature_coerced_to_array():
     p = Proposal(id=0, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0, 2.0])
     assert isinstance(p.feature, np.ndarray)
     assert p.feature.dtype == np.float64
+
+
+def _two_rows(**columns) -> ProposalArrays:
+    """Two proposals' columns, with the given ones in place of the defaults."""
+    defaults = dict(ids=np.arange(2), scores=np.full(2, 0.5), boxes=np.ones((2, 4)),
+                    features=np.ones((2, 1)))
+    return ProposalArrays(**{**defaults, **columns})
 
 
 class TestArrayStorage:
@@ -251,26 +255,56 @@ class TestArrayStorage:
         assert _bits(dataclasses.replace(rescored, score=views[4].score)) == _bits(views[4])
         assert pset.proposals.scores[4] != 0.25
 
-    def test_object_built_set_hands_back_its_objects(self):
-        objs = tuple(self.scene())
-        pset = ProposalSet(proposals=objs, image_width=640.0, image_height=640.0, feature_dim=8)
-        assert list(map(_bits, pset)) == list(map(_bits, objs))
-        assert _bits(pset.take(np.array([2])).proposals[0]) == _bits(objs[2])
-        assert pset.proposals.boxes.tobytes() == self.scene().proposals.boxes.tobytes()
+    def test_set_takes_only_column_storage(self):
+        rows = tuple(self.scene())
+        with pytest.raises(TypeError, match="^proposals must be a ProposalArrays, got tuple$"):
+            ProposalSet(proposals=rows, image_width=640.0, image_height=640.0, feature_dim=8)
 
     def test_ragged_object_features_rejected(self):
-        objs = (
-            Proposal(id=0, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0, 2.0]),
-            Proposal(id=1, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0]),
-        )
-        with pytest.raises(ValueError, match="ragged"):
-            ProposalSet(proposals=objs, image_width=1.0, image_height=1.0, feature_dim=2)
+        # per-row feature arrays of differing shapes cannot be stacked
+        with pytest.raises(ValueError, match="^features: .*inhomogeneous"):
+            _two_rows(features=[np.array([1.0, 2.0]), np.array([1.0])])
 
-    @pytest.mark.parametrize("ident, error", [(3.7, TypeError), (2**63, OverflowError)])
-    def test_object_ids_must_be_int64(self, ident, error):
-        obj = Proposal(id=ident, score=0.5, box=Box(0, 0, 1, 1), feature=[1.0])
-        with pytest.raises(error):
-            ProposalSet(proposals=(obj,), image_width=1.0, image_height=1.0, feature_dim=1)
+    @pytest.mark.parametrize("name, values, message", [
+        ("ids", [0.9, 0.2], "ids must be integers, got dtype float64"),
+        ("ids", [True, False], "ids must be integers, got dtype bool"),
+        ("ids", ["0", "1"], "ids must be integers, got dtype <U1"),
+        ("ids", [2**64, 0], "ids must be integers, got dtype object"),
+        ("ids", np.array([2**63, 0], np.uint64), "ids must fit in int64, got 9223372036854775808"),
+        ("ids", np.array([0, 2**64 - 1], np.uint64),
+         "ids must fit in int64, got 18446744073709551615"),
+        ("scores", ["0.5", "0.5"], "scores must be numbers, got dtype <U3"),
+        ("scores", [True, False], "scores must be numbers, got dtype bool"),
+        ("scores", [0.5, None], "scores must be numbers, got dtype object"),
+        ("boxes", np.ones((2, 4), bool), "boxes must be numbers, got dtype bool"),
+        ("boxes", np.ones((2, 4), complex), "boxes must be numbers, got dtype complex128"),
+        ("features", [["1"], ["2"]], "features must be numbers, got dtype <U1"),
+        ("features", np.ones((2, 1), object), "features must be numbers, got dtype object"),
+    ])
+    def test_column_dtypes_checked_before_the_cast(self, name, values, message):
+        # cast first, float ids would truncate, bools read as 0 and 1, a
+        # uint64 id past int64 wrap and strings parse as numbers
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _two_rows(**{name: values})
+
+    def test_integer_and_narrow_columns_are_cast(self):
+        a = _two_rows(ids=np.array([7, 2**63 - 1], np.uint64), scores=np.array([0, 1], np.uint8),
+                      boxes=np.ones((2, 4), np.int32), features=np.full((2, 1), 0.5, np.float32))
+        assert a.ids.tolist() == [7, 2**63 - 1] and a.ids.dtype == np.int64
+        assert a.scores.tolist() == [0.0, 1.0]
+        assert a.boxes.dtype == a.features.dtype == np.float64
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"ids": np.arange(2)[:, None]}, "ids, scores and boxes must be"),
+        ({"ids": np.int64(0)}, "ids, scores and boxes must be"),
+        ({"boxes": np.ones((2, 3))}, "ids, scores and boxes must be"),
+        ({"features": np.ones((3, 1))}, "features must hold one row per proposal"),
+        ({"features": np.float64(1.0)}, "features must hold one row per proposal"),
+        ({"masks": (None,)}, "masks must hold one entry per proposal"),
+    ])
+    def test_shape_errors(self, columns, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _two_rows(**columns)
 
     def test_pickle_round_trip(self):
         import pickle
@@ -282,33 +316,6 @@ class TestArrayStorage:
         a = again.proposals
         for arr in (a.ids, a.scores, a.boxes, a.features):
             assert not arr.flags.writeable
-
-    @given(
-        st.integers(1, 4), st.integers(1, 6), st.floats(0.0, 12.0), st.floats(0.0, 0.3),
-        st.integers(0, 2**32), st.sampled_from([0, 1, 2]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_object_built_set_is_the_array_built_set(
-        self, regions, per_region, jitter, noise, seed, mask_every
-    ):
-        pset, gt = synth_generate(SynthConfig(num_regions=regions, proposals_per_region=per_region,
-                                              jitter=jitter, score_noise=noise, seed=seed))
-        if mask_every:
-            masks = tuple(Mask(np.full((2, 3), (i % 5) / 4)) if i % mask_every == 0 else None
-                          for i in range(len(pset)))
-            pset = dataclasses.replace(
-                pset, proposals=dataclasses.replace(pset.proposals, masks=masks))
-        objs = dataclasses.replace(pset, proposals=tuple(pset))
-        for name in ("ids", "scores", "boxes", "features"):
-            assert getattr(objs.proposals, name).tobytes() == getattr(pset.proposals, name).tobytes()
-        assert objs.proposals.masks == pset.proposals.masks
-        assert proposal_set_to_lines(objs) == proposal_set_to_lines(pset)
-        for kept in (lambda s: greedy_nms(s, 0.5), lambda s: soft_nms(s, 0.5, 0.05)):
-            assert list(map(_bits, kept(objs))) == list(map(_bits, kept(pset)))
-        cfg = PipelineConfig()
-        assert dumps_canonical(
-            run_report(cfg, *dnms(objs, gt, cfg), source_weights=True)
-        ) == dumps_canonical(run_report(cfg, *dnms(pset, gt, cfg), source_weights=True))
 
     def test_centers_match_box_center(self):
         from sinkhorn_nms.geometry import box_centers

@@ -424,12 +424,18 @@ class TestReaderAndValidateAgreement:
                     min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_validate_object_built_sets(self, rows):
-        # sets built from objects take the same array path
+        # the reference set holds the rows as objects, the library's as columns
         objs = tuple(
             Proposal(id=i, score=s, box=Box(x, y, x + 2.0, y + 2.0), feature=np.ones(2))
             for i, s, x, y in rows
         )
-        got = proposals.ProposalSet(proposals=objs, image_width=10.0, image_height=10.0,
+        arrays = proposals.ProposalArrays(
+            ids=[i for i, _, _, _ in rows],
+            scores=[s for _, s, _, _ in rows],
+            boxes=[(x, y, x + 2.0, y + 2.0) for _, _, x, y in rows],
+            features=np.ones((len(rows), 2)),
+        )
+        got = proposals.ProposalSet(proposals=arrays, image_width=10.0, image_height=10.0,
                                     feature_dim=2)
         want = ReferenceSet(proposals=objs, image_width=10.0, image_height=10.0,
                             feature_dim=2)

@@ -70,6 +70,11 @@ class TestSimplexVector:
         with pytest.raises(ValueError):
             SimplexVector(np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("p", [np.zeros(0), np.full((1, 2), 0.5)])
+    def test_rejects_empty_or_not_1d(self, p):
+        with pytest.raises(ValueError, match="^simplex vector must be 1-d and non-empty$"):
+            SimplexVector(p)
+
     def test_length(self):
         assert len(SimplexVector(np.array([0.25, 0.75]))) == 2
 

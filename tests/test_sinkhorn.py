@@ -155,6 +155,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             Marginals(np.array([0.5, 0.5]), np.array([0.7, 0.2]))
 
+    @pytest.mark.parametrize("a, message", [
+        (np.full((1, 2), 0.5), "marginal a must be a 1-d non-empty vector"),
+        (np.zeros(0), "marginal a must be a 1-d non-empty vector"),
+        (np.array([1.0, 0.0]), "marginal a must be strictly positive"),
+        (np.array([1.5, -0.5]), "marginal a must be strictly positive"),
+    ])
+    def test_rejects_marginal_not_1d_or_not_positive(self, a, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Marginals(a, np.array([0.5, 0.5]))
+
     def test_auto_log_domain_threshold(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         marg = Marginals.uniform(2, 2)
@@ -214,6 +224,10 @@ class TestHilbertDistance:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             hilbert_distance(np.array([[1.0, 0.0]]), np.ones((1, 2)))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) vs \(2, 1\)$"):
+            hilbert_distance(np.ones((1, 2)), np.ones((2, 1)))
 
     @given(positive_matrices.flatmap(
         lambda P: st.tuples(
@@ -280,6 +294,11 @@ class TestVerifyContraction:
 
 
 class TestGradUnrolled:
+    def test_upstream_of_another_shape_raises(self):
+        with pytest.raises(ValueError, match="^upstream must match the cost matrix shape$"):
+            grad_unrolled(np.zeros((2, 3)), SinkhornParams(tau=1.0), Marginals.uniform(2, 3),
+                          np.ones((3, 2)))
+
     def test_singleton_constant_output(self):
         params = SinkhornParams(tau=1.0, iters=5, tol=1e-300)
         g = grad_unrolled(np.array([[3.0]]), params, Marginals.uniform(1, 1),
@@ -337,6 +356,10 @@ class TestGradUnrolled:
 
 
 class TestGradAnalytic:
+    def test_upstream_of_another_shape_raises(self):
+        with pytest.raises(ValueError, match="^upstream must match the coupling shape$"):
+            grad_analytic(np.full((1, 2), 0.5), 1.0, np.ones((2, 1)))
+
     def test_global_softmax_hand_case(self):
         # 1x2 all-zero costs: softmax is (1/2, 1/2); picking the first entry
         # has gradient (-1/4, +1/4)
