@@ -63,21 +63,24 @@ def _member_means(
 
     The means equal ``pts[labels == k].mean(axis=0)`` bit for bit: numpy's
     axis-0 sum of several columns starts from ``+0.0`` and adds the member
-    rows one after another in index order, as ``np.add.at`` into zeros does.
-    A single column sums pairwise instead, so that case takes each cluster's
+    rows one after another in index order.  One weighted ``np.bincount`` over
+    the flattened bins ``label * D + column`` does the same: it starts every
+    bin from ``+0.0`` and adds the C-order entries of ``pts`` in turn, so each
+    bin receives its cluster's entries of that column in index order.  A
+    single column sums pairwise instead, so that case takes each cluster's
     sum with the same reduction.
     """
-    K = centroids.shape[0]
+    K, D = centroids.shape
     counts = np.bincount(labels, minlength=K)
-    sums = np.zeros(centroids.shape)
-    if pts.shape[1] == 1:
+    if D == 1:
+        sums = np.zeros(centroids.shape)
         for k in np.flatnonzero(counts):
             sums[k] = pts[labels == k].sum(axis=0)
     else:
-        np.add.at(sums, labels, pts)
+        bins = (labels[:, None] * D + np.arange(D)).ravel()
+        sums = np.bincount(bins, weights=pts.ravel(), minlength=K * D).reshape(K, D)
     means = centroids.copy()
-    filled = counts > 0
-    means[filled] = sums[filled] / counts[filled, None]
+    np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
     return means, counts
 
 
@@ -142,7 +145,9 @@ def kmeans(
 
     labels, own_d2 = assign(centroids)
     wcss = [float(own_d2.sum())]
-    seen = {labels.tobytes()}
+    key = labels.tobytes()
+    seen = {key}
+    settled = False
     for _ in range(DEFAULT_MAX_ITERS):
         new_centroids, counts = _member_means(pts, labels, centroids)
         # Re-seed empty clusters to the point farthest from its own centroid,
@@ -155,15 +160,21 @@ def kmeans(
             new_centroids[k] = pts[far]
             reseeded.append(far)
         centroids = new_centroids
+        left = key
         labels, own_d2 = assign(centroids)
         wcss.append(float(own_d2.sum()))
-        if labels.tobytes() in seen:
+        key = labels.tobytes()
+        if key in seen:
+            # Back on the assignment it just left with no cluster re-seeded,
+            # the centroids are already that assignment's member means.
+            settled = key == left and not reseeded
             break
-        seen.add(labels.tobytes())
+        seen.add(key)
 
     # Make every centroid the mean of its assigned points even when the
-    # iteration budget ran out mid-update.
-    centroids, _ = _member_means(pts, labels, centroids)
+    # iteration budget ran out mid-update or the updates closed a cycle.
+    if not settled:
+        centroids, _ = _member_means(pts, labels, centroids)
     return KMeansResult(centroids=centroids, assignment=labels, wcss=tuple(wcss))
 
 

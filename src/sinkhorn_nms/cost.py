@@ -72,32 +72,99 @@ def build_cost(pset: ProposalSet, cents: Centroids, w: CostWeights) -> CostMatri
 
     nf = np.linalg.norm(feats, axis=1)
     nmu = np.linalg.norm(cents.feature_centroids, axis=1)
-    dots = feats @ cents.feature_centroids.T
-    denom = np.outer(nf, nmu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_feat = np.where(denom > 0.0, 1.0 - dots / np.where(denom > 0, denom, 1.0), 1.0)
-    if (denom == 0.0).any():
-        logger.warning("build_cost: zero feature vector(s), using neutral distance 1.0")
-
+    # Each step below is an elementwise operation of the expression
+    # alpha (1 - s) + beta (1 - dots / (|f| |mu|)) + gamma |c - nu| / diag,
+    # in its order, so the bits are the expression's; written into three
+    # (M, K) buffers, since a fresh 1 MiB temporary at 2048 x 64 costs a page
+    # fault per 4 KiB.  A weight of 1.0 multiplies every entry exactly, so it
+    # is skipped.
     nu = cents.spatial_centroids
-    dx = centers[:, :1] - nu[:, 0]
-    dy = centers[:, 1:] - nu[:, 1]
-    d_spatial = np.sqrt(dx * dx + dy * dy) / pset.image_diag
+    d_spatial = centers[:, :1] - nu[:, 0]
+    d_spatial *= d_spatial
+    buf = centers[:, 1:] - nu[:, 1]
+    buf *= buf
+    d_spatial += buf
+    np.sqrt(d_spatial, out=d_spatial)
+    d_spatial /= pset.image_diag
+    if w.gamma != 1.0:
+        d_spatial *= w.gamma
 
-    values = w.alpha * (1.0 - scores)[:, None] + w.beta * d_feat + w.gamma * d_spatial
-    return CostMatrix(values)
+    d_feat = feats @ cents.feature_centroids.T
+    denom = np.multiply(nf[:, None], nmu, out=buf)
+    # a zero or NaN norm product takes the neutral distance 1.0
+    neutral = None if denom.min(initial=np.inf) > 0.0 else ~(denom > 0.0)
+    if neutral is not None:
+        if (denom == 0.0).any():
+            logger.warning("build_cost: zero feature vector(s), using neutral distance 1.0")
+        denom[neutral] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_feat /= denom
+    np.subtract(1.0, d_feat, out=d_feat)
+    if neutral is not None:
+        d_feat[neutral] = 1.0
+    if w.beta != 1.0:
+        d_feat *= w.beta
+    d_feat += (w.alpha * (1.0 - scores))[:, None]
+    d_feat += d_spatial
+    return CostMatrix(d_feat)
+
+
+def _widest_spread(d: np.ndarray) -> float:
+    """The largest ``max - min`` over the rows of ``d``."""
+    return float((d.max(axis=1) - d.min(axis=1)).max())
+
+
+def _scan_rows(V: np.ndarray, best: float, skip: int) -> float:
+    """``best`` raised to the widest spread of ``V[l] - V[j]`` over ``j < l``, ``j != skip``."""
+    for j in range(V.shape[0] - 1):
+        if j != skip:
+            best = max(best, _widest_spread(V[j + 1 :] - V[j]))
+    return best
 
 
 def kappa(C: CostMatrix | np.ndarray) -> float:
     """Exact maximum absolute second difference over all index quadruples.
 
-    Computed exhaustively by reducing over column pairs: for columns (j, l)
-    the quadruple difference equals (C[i,j]-C[i,l]) - (C[k,j]-C[k,l]), whose
-    maximum over rows is the spread of the column-difference vector.
+    Reduced over column pairs: for columns (j, l) the quadruple difference
+    equals (C[i,j]-C[i,l]) - (C[k,j]-C[k,l]), whose maximum over rows is the
+    spread of the column-difference vector ``d = V_l - V_j``, and kappa is the
+    widest spread.  A pair's spread is the same bits in either order, so the
+    result is that of a plain scan over all pairs, bit for bit.
+
+    Rounding is monotone, so the computed spread of a pair is at most its
+    bound ``fl(fl(max V_l - min V_j) - fl(min V_l - max V_j))``, about the sum
+    of the two column ranges.  The first round scans the widest column
+    against all others.  The other pairs whose bound exceeds the best spread
+    so far are then gathered in blocks of at most 256 KiB, in decreasing order
+    of bound, and the scan stops at the first block whose leading bound is at
+    most the best spread.  When the first round prunes none of those pairs
+    and they fill more than one block, or a bound is not finite, the rest is
+    the plain scan, row by row: it takes three passes per pair where a
+    gathered block takes five, so a large cost with nothing to prune
+    (``a_i + b_j``) pays only for the bounds and the first round.
     """
     V = np.ascontiguousarray(cost_values(C).T)
-    best = 0.0
-    for j in range(V.shape[0] - 1):
-        d = V[j + 1 :] - V[j]
-        best = max(best, float((d.max(axis=1) - d.min(axis=1)).max()))
+    K, M = V.shape
+    if K < 2:
+        return 0.0
+    lo, hi = V.min(axis=1), V.max(axis=1)
+    w = int(np.argmax(hi - lo))
+    best = max(0.0, _widest_spread(V - V[w]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (hi - lo[:, None]) - (lo - hi[:, None])  # [j, l] for the pair (j, l)
+    live = np.triu(bound > best, 1)
+    live[w] = live[:, w] = False
+    js, ls = np.nonzero(live)
+    step = max(1, 2**15 // M)
+    if not np.isfinite(bound).all() or step < js.size == (K - 1) * (K - 2) // 2:
+        return _scan_rows(V, best, skip=w)
+    ub = bound[js, ls]
+    by = np.argsort(-ub, kind="stable")
+    js, ls, ub = js[by], ls[by], ub[by]
+    for s in range(0, ub.size, step):
+        if ub[s] <= best:
+            break
+        d = V[ls[s : s + step]]
+        d -= V[js[s : s + step]]
+        best = max(best, _widest_spread(d))
     return best

@@ -43,9 +43,6 @@ from .proposals import GroundTruth, ProposalArrays, ProposalSet
 
 FORMAT_VERSION = 1
 RUN_REPORT_VERSION = 2
-# version 1 differs only in always writing source_weights and in lacking
-# two diagnostics, so both read the same way
-_RUN_REPORT_VERSIONS = (1, 2)
 PROPOSALS_FORMAT = "proposals"
 GROUND_TRUTH_FORMAT = "ground-truth"
 RUN_REPORT_FORMAT = "run-report"
@@ -360,17 +357,3 @@ def run_report(
 
 def write_run_report(path: str | Path, report: dict) -> None:
     Path(path).write_text(dumps_canonical(report))
-
-
-def read_run_report(path: str | Path) -> dict:
-    """Parse a run report of version 1 or 2; any other ``format`` or
-    ``version`` raises ``ValueError`` naming the value."""
-    report = json.loads(Path(path).read_text())
-    if not isinstance(report, dict):
-        raise ValueError(f"expected a run-report object, got {type(report).__name__}")
-    fmt, version = report.get("format"), report.get("version")
-    if fmt != RUN_REPORT_FORMAT:
-        raise ValueError(f"expected format {RUN_REPORT_FORMAT!r}, got {fmt!r}")
-    if type(version) is not int or version not in _RUN_REPORT_VERSIONS:
-        raise ValueError(f"unsupported run-report version {version!r}")
-    return report

@@ -105,16 +105,11 @@ def _combine(values: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
     return np.clip(base + delta, lo, hi)
 
 
-def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[RefinedProposal]:
-    """Collapse proposals into one refined proposal per latent region.
-
-    Column k of the assignment is renormalized to sum to one and used as
-    convex-combination weights for boxes, scores, features, and masks: one
-    :func:`_combine` product for the boxes, scores and features side by side,
-    clipped to their column envelope, and one for the masks.  Proposals
-    without masks contribute nothing to the mask average; if no contributor
-    has a mask the refined mask is absent.
-    """
+def _aggregate_columns(
+    S: SoftAssignment | np.ndarray, pset: ProposalSet
+) -> tuple[np.ndarray, list[Mask | None], np.ndarray]:
+    """The columns of :func:`aggregate`: (K, 5 + F) boxes, scores and
+    features side by side, the K masks and the (K, M) weights ``W``."""
     Sm = coupling_values(S)
     M, K = Sm.shape
     if M != len(pset):
@@ -130,9 +125,9 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
     empty = np.flatnonzero(totals <= 0.0)
     if empty.size:
         raise ValueError(f"empty latent region: column {empty[0]} has no mass")
-    if K == 0:
-        return []
     W = St / totals[:, None]
+    if K == 0:
+        return np.empty((0, 5 + pset.feature_dim)), [], W
     fields = np.hstack((pset.proposals.boxes, pset.proposals.scores[:, None], pset.proposals.features))
     out = _combine(fields, W, fields.min(axis=0), fields.max(axis=0))
     masks: list[Mask | None] = [None] * K
@@ -144,6 +139,20 @@ def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[Refined
         values = _combine(stack, sub[rows] / sub_totals[rows, None], 0.0, 1.0)
         for k, v in zip(rows, values):
             masks[k] = Mask(v.reshape(grids[0].shape))
+    return out, masks, W
+
+
+def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[RefinedProposal]:
+    """Collapse proposals into one refined proposal per latent region.
+
+    Column k of the assignment is renormalized to sum to one and used as
+    convex-combination weights for boxes, scores, features, and masks: one
+    :func:`_combine` product for the boxes, scores and features side by side,
+    clipped to their column envelope, and one for the masks.  Proposals
+    without masks contribute nothing to the mask average; if no contributor
+    has a mask the refined mask is absent.
+    """
+    out, masks, W = _aggregate_columns(S, pset)
     return [
         RefinedProposal(box=Box(*b), score=s, feature=f, mask=m, source_weights=w)
         for b, s, f, m, w in zip(out[:, :4].tolist(), out[:, 4].tolist(), out[:, 5:], masks, W)
@@ -171,15 +180,15 @@ def dnms(
     C = build_cost(pset, cents, cfg.weights)
     marg = Marginals.uniform(M, K)
     S = solve(C, cfg.sinkhorn, marg)
-    refined = aggregate(S, pset)
-    if gt is not None:
-        q = quality_scores(box_array([r.box for r in refined]), gt.boxes)
-    else:
-        q = np.array([r.score for r in refined])
+    out, masks, W = _aggregate_columns(S, pset)
+    boxes = [Box(*b) for b in out[:, :4].tolist()]
+    # q contiguous: a strided q dots in another summation order in the refinement
+    q = out[:, 4].copy() if gt is None else quality_scores(out[:, :4], gt.boxes)
     fw_params = replace(cfg.refine, tau_H=min(cfg.refine.tau_H, math.log(K)))
     fw = frank_wolfe(q, fw_params)
     refined = [
-        replace(r, probability=float(fw.p.p[k])) for k, r in enumerate(refined)
+        RefinedProposal(box=b, score=s, feature=f, mask=m, source_weights=w, probability=p)
+        for b, s, f, m, w, p in zip(boxes, out[:, 4].tolist(), out[:, 5:], masks, W, fw.p.p.tolist())
     ]
     v = S.violations
     diag = PipelineDiagnostics(

@@ -55,6 +55,19 @@ class Proposal:
         object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
 
 
+def _outside_int64(ids) -> int | None:
+    """The first id outside int64 in a list or tuple of integers, else None.
+
+    numpy types such a list as float64 (``[2**63, 0]``) or object
+    (``[-2**63 - 1]``); a list with any other element keeps its dtype message.
+    """
+    if not isinstance(ids, (list, tuple)) or not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids
+    ):
+        return None
+    return next((int(i) for i in ids if not -(2**63) <= i < 2**63), None)
+
+
 @dataclass(frozen=True, eq=False)
 class ProposalArrays(Sequence):
     """Column storage of M proposals, read as a sequence of ``Proposal`` values.
@@ -83,6 +96,8 @@ class ProposalArrays(Sequence):
             except ValueError as exc:  # ragged rows
                 raise ValueError(f"{name}: {exc}") from exc
             if given.dtype.kind not in kinds:
+                if name == "ids" and (big := _outside_int64(getattr(self, name))) is not None:
+                    raise ValueError(f"ids must fit in int64, got {big}")
                 what = "integers" if name == "ids" else "numbers"
                 raise ValueError(f"{name} must be {what}, got dtype {given.dtype}")
             # a read-only view; the caller's array stays writable

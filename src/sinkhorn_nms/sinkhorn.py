@@ -165,11 +165,15 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
 
     Bitwise equal to ``scipy.special.logsumexp``: entries tied at the maximum
     are counted apart from the shifted sum, which is then folded in by log1p.
+    The shift, the tied entries' ``-inf - xmax`` and the exp are written into
+    one buffer, the same operations as ``exp(where(tied, -inf, x) - xmax)``.
     """
     xmax = x.max(axis=axis, keepdims=True)
     tied = x == xmax
-    n = tied.sum(axis=axis, keepdims=True, dtype=np.float64)
-    s = np.exp(np.where(tied, -np.inf, x) - xmax).sum(axis=axis, keepdims=True)
+    n = np.count_nonzero(tied, axis=axis, keepdims=True).astype(np.float64)
+    e = np.subtract(x, xmax)
+    np.copyto(e, -np.inf - xmax, where=tied)
+    s = np.exp(e, out=e).sum(axis=axis, keepdims=True)
     return (np.log1p(s / n) + np.log(n) + xmax).squeeze(axis)
 
 
@@ -210,7 +214,8 @@ def _iterate(C, params, marg, keep_tape=False, log_mode=None):
                 u = a / r
                 c = Kt.T @ u
                 v = b / c
-                if not all(1 / ABSORB_BOUND <= x.min() and x.max() <= ABSORB_BOUND for x in (u, v)):
+                if not (1 / ABSORB_BOUND <= u.min() and u.max() <= ABSORB_BOUND
+                        and 1 / ABSORB_BOUND <= v.min() and v.max() <= ABSORB_BOUND):
                     uh = uh + np.log(u)
                     vh = vh + np.log(v)
                     if not (log_mode or (np.isfinite(uh).all() and np.isfinite(vh).all())):

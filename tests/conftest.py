@@ -1,9 +1,12 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinkhorn_nms import ProposalArrays, ProposalSet
+from sinkhorn_nms.formats import RUN_REPORT_FORMAT
 from sinkhorn_nms.sinkhorn import _backward, _iterate
 
 
@@ -26,6 +29,24 @@ def grad_in_mode(C, params, marg, upstream, log_mode):
 def with_columns(pset: ProposalSet, **columns) -> ProposalSet:
     """``pset`` with the named columns of its ``ProposalArrays`` replaced."""
     return dataclasses.replace(pset, proposals=dataclasses.replace(pset.proposals, **columns))
+
+
+def read_run_report(path: str | Path) -> dict:
+    """Parse a run report of version 1 or 2; any other ``format`` or
+    ``version`` raises ``ValueError`` naming the value.
+
+    Version 1 differs only in always writing ``source_weights`` and in
+    lacking two diagnostics, so both read the same way.
+    """
+    report = json.loads(Path(path).read_text())
+    if not isinstance(report, dict):
+        raise ValueError(f"expected a run-report object, got {type(report).__name__}")
+    fmt, version = report.get("format"), report.get("version")
+    if fmt != RUN_REPORT_FORMAT:
+        raise ValueError(f"expected format {RUN_REPORT_FORMAT!r}, got {fmt!r}")
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"unsupported run-report version {version!r}")
+    return report
 
 
 @pytest.fixture

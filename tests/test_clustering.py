@@ -2,7 +2,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_oracles
 from sinkhorn_nms import (
     Centroids,
     SynthConfig,
@@ -101,6 +104,42 @@ class TestKMeans:
         worst = max(lloyd_random_init(s) for s in range(100))
         result = kmeans(pts, K=3, seed=0)
         assert result.wcss[-1] <= worst + 1e-9
+
+
+@st.composite
+def member_problems(draw):
+    """Tenths-lattice points with ``-0.0`` entries, labels that leave clusters
+    empty, and D from 1 through numpy's summation branches up to 140."""
+    D = draw(st.one_of(st.integers(1, 20), st.sampled_from([64, 127, 128, 129, 140])))
+    n = draw(st.integers(1, 60))
+    K = draw(st.integers(1, 12))
+    used = draw(st.integers(1, K))  # clusters from ``used`` on stay empty
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts, centroids = (rng.integers(-40, 41, shape) / 10 for shape in ((n, D), (K, D)))
+    pts[rng.random((n, D)) < 0.2] = -0.0
+    return pts, rng.integers(0, used, n), centroids
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_problems())
+def test_member_means_bitwise_equal_to_the_scatter_add(problem):
+    pts, labels, centroids = problem
+    want_means, want_counts = kernel_oracles.member_means(pts, labels, centroids)
+    for layout in (pts, np.asfortranarray(pts)):
+        means, counts = clustering._member_means(layout, labels, centroids)
+        assert means.tobytes() == want_means.tobytes()
+        assert np.array_equal(counts, want_counts)
+
+
+def test_settled_kmeans_skips_the_repeated_final_pass():
+    # The first update lands on the assignment it left, with no cluster
+    # re-seeded, so its centroids are the final means: one pass, not two.
+    pts = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 10.0], [10.0, 10.1]])
+    member_means = clustering._member_means
+    with patch.object(clustering, "_member_means", side_effect=member_means) as spy:
+        result = kmeans(pts, K=2, seed=0)
+    assert spy.call_count == 1 and len(result.wcss) == 2
+    assert sorted(result.centroids.tolist()) == [[0.0, 0.05], [10.0, 10.05]]
 
 
 @pytest.mark.parametrize("mu, nu, message", [

@@ -2,7 +2,9 @@
 
 ``feature_distance`` and ``spatial_distance`` below are the scalar cosine and
 spatial distances that ``build_cost`` vectorises; the library does not call
-them, so they live here as the per-entry oracle of the cost matrix.
+them, so they live here as the per-entry oracle of the cost matrix.  The
+whole matrix and ``kappa`` are also compared bit for bit with the code they
+replaced, in ``kernel_oracles``.
 """
 
 import logging
@@ -14,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kernel_oracles
 from sinkhorn_nms import (
     Box,
+    Centroids,
     CostMatrix,
     CostWeights,
     SynthConfig,
     build_cost,
+    cost,
     init_centroids,
     kappa,
     synth_generate,
@@ -97,6 +102,36 @@ def kappa_inputs(draw) -> np.ndarray:
     if draw(st.booleans()):
         values = np.round(values, 1)  # ties in the column differences
     return values
+
+
+@st.composite
+def kappa_families(draw) -> np.ndarray:
+    """Ties, additive ``a_i + b_j`` (kappa 0, nothing prunes), uniform noise,
+    and any of them scaled to magnitudes from 1e-150 to 1e150; M or K may be 1."""
+    M = draw(st.one_of(st.just(1), st.integers(1, 70)))
+    K = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    family = draw(st.sampled_from(["tenths", "additive", "uniform", "floats"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "tenths":
+        values = rng.integers(-30, 31, (M, K)) / 10.0
+    elif family == "additive":
+        values = rng.uniform(-1, 1, (M, 1)) + rng.uniform(-1, 1, (1, K))
+    elif family == "uniform":
+        values = rng.uniform(0.0, 3.0, (M, K))
+    else:
+        values = draw(hnp.arrays(np.float64, (M, K), elements=finite))
+    return values * 10.0 ** draw(st.sampled_from([0, -150, -75, 75, 150]))
+
+
+def additive(M: int, K: int, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (M, 1)) + rng.uniform(0, 1, (1, K))
+
+
+def scene_cost(regions: int, per_region: int, K: int, seed: int) -> np.ndarray:
+    pset, _ = synth_generate(SynthConfig(num_regions=regions, proposals_per_region=per_region,
+                                         jitter=4.0, score_noise=0.05, seed=seed))
+    return build_cost(pset, init_centroids(pset, K, 0), CostWeights()).values
 
 
 class TestFeatureDistance:
@@ -266,6 +301,64 @@ class TestKappa:
         assert kappa(values) == kappa_column_pairs(values)
         assert kappa(CostMatrix(values)) == kappa_column_pairs(values)
 
+    @settings(max_examples=300, deadline=None)
+    @given(kappa_families())
+    def test_bitwise_equal_to_the_plain_scan(self, values):
+        assert kappa(values).hex() == kernel_oracles.kappa(values).hex()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bitwise_equal_to_the_plain_scan_on_scenes(self, seed):
+        for regions, per_region, K in ((16, 16, 16), (32, 32, 32), (32, 64, 31)):
+            values = scene_cost(regions, per_region, K, seed)
+            assert kappa(values).hex() == kernel_oracles.kappa(values).hex()
+
+    @pytest.mark.parametrize("values, plain", [
+        (additive(2048, 12), True),  # every bound exceeds the rounding-sized spreads
+        (additive(300, 12), False),  # none pruned, but all in one gathered block
+        (np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0]]), False),  # nothing left after the first round
+        (scene_cost(16, 16, 16, 1), False),  # pruned
+    ])
+    def test_plain_scan_only_when_the_first_round_prunes_nothing(self, values, plain, monkeypatch):
+        scans = []
+        scan_rows = cost._scan_rows
+        monkeypatch.setattr(cost, "_scan_rows", lambda *a, **kw: scans.append(a) or scan_rows(*a, **kw))
+        assert kappa(values) == kernel_oracles.kappa(values)
+        assert len(scans) == plain
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             CostMatrix(np.array([[np.nan, 0.0]]))
+
+
+weights = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 3.7])
+
+
+@st.composite
+def cost_problems(draw):
+    """A synthesized scene with some feature rows and centroids zeroed, and
+    cost weights that may be zero."""
+    pset, _ = synth_generate(SynthConfig(
+        num_regions=draw(st.integers(1, 5)), proposals_per_region=draw(st.integers(1, 8)),
+        jitter=4.0, score_noise=0.3, feature_dim=draw(st.integers(3, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    ))
+    M = len(pset)
+    K = draw(st.integers(1, M))
+    cents = init_centroids(pset, K, draw(st.integers(0, 9)))
+    features = pset.proposals.features.copy()
+    features[draw(st.lists(st.integers(0, M - 1), max_size=M))] = 0.0
+    mu = cents.feature_centroids.copy()
+    mu[draw(st.lists(st.integers(0, K - 1), max_size=K))] = 0.0
+    alpha, beta, gamma = draw(weights), draw(weights), draw(weights)
+    if alpha == beta == gamma == 0.0:
+        gamma = 1.0
+    return (with_columns(pset, features=features), Centroids(mu, cents.spatial_centroids),
+            CostWeights(alpha, beta, gamma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cost_problems())
+def test_build_cost_bitwise_equal_to_the_expression(problem):
+    got = build_cost(*problem).values
+    want = kernel_oracles.build_cost(*problem).values
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -24,12 +24,13 @@ from sinkhorn_nms.formats import (
     proposal_set_to_lines,
     read_ground_truth,
     read_proposal_file,
-    read_run_report,
     run_report,
     write_ground_truth,
     write_proposal_file,
     write_run_report,
 )
+
+from conftest import read_run_report
 
 wild_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 unit_floats = st.floats(min_value=0.0, max_value=1.0)

@@ -15,10 +15,11 @@ from sinkhorn_nms.cli import main as cli_main
 from sinkhorn_nms.formats import (
     read_ground_truth,
     read_proposal_file,
-    read_run_report,
     write_ground_truth,
     write_proposal_file,
 )
+
+from conftest import read_run_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SCENE = FIXTURES / "golden_scene.jsonl"

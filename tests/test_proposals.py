@@ -269,7 +269,7 @@ class TestArrayStorage:
         ("ids", [0.9, 0.2], "ids must be integers, got dtype float64"),
         ("ids", [True, False], "ids must be integers, got dtype bool"),
         ("ids", ["0", "1"], "ids must be integers, got dtype <U1"),
-        ("ids", [2**64, 0], "ids must be integers, got dtype object"),
+        ("ids", [2**64, 0], "ids must fit in int64, got 18446744073709551616"),
         ("ids", np.array([2**63, 0], np.uint64), "ids must fit in int64, got 9223372036854775808"),
         ("ids", np.array([0, 2**64 - 1], np.uint64),
          "ids must fit in int64, got 18446744073709551615"),
@@ -286,6 +286,24 @@ class TestArrayStorage:
         # uint64 id past int64 wrap and strings parse as numbers
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _two_rows(**{name: values})
+
+    @pytest.mark.parametrize("ids, big", [
+        ([2**63, 0], 2**63),  # numpy types these two lists as float64
+        ([0, 2**63], 2**63),
+        ([-(2**63) - 1], -(2**63) - 1),  # and these as object
+        ([0, -(2**63) - 1, 2**63], -(2**63) - 1),
+    ])
+    def test_python_int_id_past_int64_is_named(self, ids, big):
+        rows = len(ids)
+        with pytest.raises(ValueError, match=f"^ids must fit in int64, got {big}$"):
+            ProposalArrays(ids=ids, scores=np.full(rows, 0.5), boxes=np.ones((rows, 4)),
+                           features=np.ones((rows, 1)))
+
+    @pytest.mark.parametrize("ids", [[2**63, 1.5], [0.5, 2**63], [2**64, 0.5]])
+    def test_float_beside_a_large_id_keeps_the_dtype_message(self, ids):
+        dtype = np.asarray(ids).dtype
+        with pytest.raises(ValueError, match=f"^ids must be integers, got dtype {dtype}$"):
+            _two_rows(ids=ids)
 
     def test_integer_and_narrow_columns_are_cast(self):
         a = _two_rows(ids=np.array([7, 2**63 - 1], np.uint64), scores=np.array([0, 1], np.uint8),

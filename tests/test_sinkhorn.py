@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
@@ -21,6 +21,7 @@ from sinkhorn_nms import (
 )
 from sinkhorn_nms.rng import SplitMix64
 from sinkhorn_nms.sinkhorn import _lse
+import kernel_oracles
 from conftest import grad_in_mode, solve_in_mode
 from sinkhorn_nms.verification import central_difference, normalized_error, random_matrix
 
@@ -191,6 +192,30 @@ class TestLogSumExp:
         if negate:
             x = -x
         assert np.array_equal(_lse(x, axis), logsumexp(x, axis=axis))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([0, 1]), st.booleans())
+    def test_bitwise_equal_to_the_where_expression(self, M, K, seed, axis, fortran):
+        # Ties, multiples of -700 (whose exps underflow), floats and a few
+        # non-finite entries all give the bits of the expression that _lse
+        # replaced, in either memory layout.
+        rng = np.random.default_rng(seed)
+        families = np.stack([
+            rng.integers(-30, 31, (M, K)) / 10,
+            rng.integers(-4, 1, (M, K)) * 700.0,
+            rng.uniform(-1e3, 1e3, (M, K)),
+            rng.choice([-np.inf, np.inf, np.nan], (M, K)),
+        ])
+        weights = rng.dirichlet(np.ones(4)) * [1, 1, 1, rng.choice([0.0, 0.05])]
+        pick = rng.choice(4, (M, K), p=weights / weights.sum())
+        x = np.take_along_axis(families, pick[None], axis=0)[0]
+        if fortran:
+            x = np.asfortranarray(x)
+        with np.errstate(all="ignore"):
+            got, want = _lse(x, axis), kernel_oracles.lse(x, axis)
+        assert got.tobytes() == want.tobytes()
 
 
 positive_matrices = hnp.arrays(
