@@ -114,11 +114,11 @@ def _widest_spread(d: np.ndarray) -> float:
     return float((d.max(axis=1) - d.min(axis=1)).max())
 
 
-def _scan_rows(V: np.ndarray, best: float, skip: int) -> float:
-    """``best`` raised to the widest spread of ``V[l] - V[j]`` over ``j < l``, ``j != skip``."""
+def _scan_rows(V: np.ndarray) -> float:
+    """The widest spread of ``V[l] - V[j]`` over ``j < l``, row ``j`` by row."""
+    best = 0.0
     for j in range(V.shape[0] - 1):
-        if j != skip:
-            best = max(best, _widest_spread(V[j + 1 :] - V[j]))
+        best = max(best, _widest_spread(V[j + 1 :] - V[j]))
     return best
 
 
@@ -137,30 +137,29 @@ def kappa(C: CostMatrix | np.ndarray) -> float:
     against all others.  The other pairs whose bound exceeds the best spread
     so far are then gathered in blocks of at most 256 KiB, in decreasing order
     of bound, and the scan stops at the first block whose leading bound is at
-    most the best spread.  When the first round prunes none of those pairs
-    and they fill more than one block, or a bound is not finite, the rest is
-    the plain scan, row by row: it takes three passes per pair where a
-    gathered block takes five, so a large cost with nothing to prune
-    (``a_i + b_j``) pays only for the bounds and the first round.
+    most the best spread.  When every bound is finite, so is every
+    difference and spread, and the maximum does not depend on how the pairs
+    are grouped.  Otherwise a NaN spread hides the rest of the block it falls
+    in, so the whole scan is the plain one, row by row.
     """
     V = np.ascontiguousarray(cost_values(C).T)
     K, M = V.shape
     if K < 2:
         return 0.0
     lo, hi = V.min(axis=1), V.max(axis=1)
-    w = int(np.argmax(hi - lo))
-    best = max(0.0, _widest_spread(V - V[w]))
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (hi - lo[:, None]) - (lo - hi[:, None])  # [j, l] for the pair (j, l)
+    if not np.isfinite(bound).all():
+        return _scan_rows(V)
+    w = int(np.argmax(hi - lo))
+    best = max(0.0, _widest_spread(V - V[w]))
     live = np.triu(bound > best, 1)
     live[w] = live[:, w] = False
     js, ls = np.nonzero(live)
-    step = max(1, 2**15 // M)
-    if not np.isfinite(bound).all() or step < js.size == (K - 1) * (K - 2) // 2:
-        return _scan_rows(V, best, skip=w)
     ub = bound[js, ls]
     by = np.argsort(-ub, kind="stable")
     js, ls, ub = js[by], ls[by], ub[by]
+    step = max(1, 2**15 // M)
     for s in range(0, ub.size, step):
         if ub[s] <= best:
             break
