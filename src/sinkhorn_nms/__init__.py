@@ -35,6 +35,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineDiagnostics,
     RefinedProposal,
+    RefinedSet,
     aggregate,
     compare,
     dnms,
@@ -97,6 +98,7 @@ __all__ = [
     "ProposalSet",
     "RefineParams",
     "RefinedProposal",
+    "RefinedSet",
     "SimplexVector",
     "SinkhornParams",
     "SoftAssignment",

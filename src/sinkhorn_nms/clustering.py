@@ -111,6 +111,14 @@ def kmeans(
     if K > n:
         raise ValueError(f"insufficient points: K={K} > {n}")
 
+    # Every centroid lies in the points' bounding box, so no squared distance below
+    # exceeds its squared diagonal, nor a wcss n times that (|x|**2 may overflow).
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: the seeding warns as before
+        span = pts.max(axis=0) - pts.min(axis=0)
+        if n * (span**2).sum() > np.finfo(np.float64).max / 2:
+            raise ValueError(f"points too far apart: a sum of {n} squared distances up to the "
+                             f"bounding-box diagonal {np.hypot.reduce(span):.6g} could overflow")
+
     rng = SplitMix64(seed)
     centroids = np.empty((K, pts.shape[1]), dtype=np.float64)
     centroids[0] = pts[rng.randint(n)]

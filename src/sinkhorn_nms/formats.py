@@ -32,7 +32,7 @@ import math
 from dataclasses import asdict
 from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -335,7 +335,7 @@ def _refined_to_record(r: RefinedProposal, source_weights: bool) -> dict:
 
 def run_report(
     cfg: PipelineConfig,
-    refined: list[RefinedProposal],
+    refined: Sequence[RefinedProposal],
     diagnostics: PipelineDiagnostics,
     source_weights: bool = False,
 ) -> dict:

@@ -3,16 +3,17 @@
 The pipeline clusters proposals into K latent regions, builds the assignment
 cost matrix, solves for the soft assignment with uniform marginals,
 aggregates the proposals of all regions with one matrix product of the
-normalized assignment weights (one more for masks), and refines per-region
-probabilities under the entropy constraint.  With ground truth
-present the refinement objective uses box-overlap quality scores; at
-inference the aggregated scores stand in for them.
+normalized assignment weights (one more for masks) into one ``RefinedSet``
+of columns, whose rows are read as ``RefinedProposal`` values, and refines
+per-region probabilities under the entropy constraint, scoring box overlap
+with the ground truth if given and the aggregated scores otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from ._checks import check_int
 from .baselines import greedy_nms, soft_nms
 from .clustering import DEFAULT_IOU_THRESH, DEFAULT_SCORE_FLOOR, estimate_k, init_centroids
 from .cost import CostWeights, build_cost, kappa
-from .geometry import Box, Mask, box_array, quality_scores
+from .geometry import Box, Mask, quality_scores
 from .proposals import GroundTruth, ProposalSet
 from .refine import RefineParams, frank_wolfe
 from .sinkhorn import (
@@ -46,6 +47,37 @@ class RefinedProposal:
     mask: Mask | None
     source_weights: np.ndarray
     probability: float | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class RefinedSet(Sequence):
+    """The K refined regions as columns: ``boxes`` (K, 4), ``scores`` (K,),
+    ``features`` (K, F), a mask or ``None`` each and ``source_weights`` (K, M).
+    Indexing builds a new ``RefinedProposal`` from row k, so rows are built only
+    when read.  ``probabilities`` is ``None`` until the refinement sets it."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    features: np.ndarray
+    masks: tuple[Mask | None, ...]
+    source_weights: np.ndarray
+    probabilities: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):  # a list of rows
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        return RefinedProposal(
+            box=Box(*self.boxes[k].tolist()),
+            score=float(self.scores[k]),
+            feature=self.features[k],
+            mask=self.masks[k],
+            source_weights=self.source_weights[k],
+            probability=None if self.probabilities is None else float(self.probabilities[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -105,11 +137,16 @@ def _combine(values: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
     return np.clip(base + delta, lo, hi)
 
 
-def _aggregate_columns(
-    S: SoftAssignment | np.ndarray, pset: ProposalSet
-) -> tuple[np.ndarray, list[Mask | None], np.ndarray]:
-    """The columns of :func:`aggregate`: (K, 5 + F) boxes, scores and
-    features side by side, the K masks and the (K, M) weights ``W``."""
+def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> RefinedSet:
+    """Collapse proposals into one refined proposal per latent region.
+
+    Column k of the assignment is renormalized to sum to one and used as
+    convex-combination weights for boxes, scores, features, and masks: one
+    :func:`_combine` product for the boxes, scores and features side by side,
+    clipped to their column envelope, and one for the masks.  Proposals
+    without masks contribute nothing to the mask average; if no contributor
+    has a mask the refined mask is absent.  A bad refined box raises ``Box``'s error.
+    """
     Sm = coupling_values(S)
     M, K = Sm.shape
     if M != len(pset):
@@ -126,8 +163,8 @@ def _aggregate_columns(
     if empty.size:
         raise ValueError(f"empty latent region: column {empty[0]} has no mass")
     W = St / totals[:, None]
-    if K == 0:
-        return np.empty((0, 5 + pset.feature_dim)), [], W
+    if K == 0:  # covers M = 0, where _combine's argmax has no row to pick
+        return RefinedSet(np.empty((0, 4)), np.empty(0), np.empty((0, pset.feature_dim)), (), W)
     fields = np.hstack((pset.proposals.boxes, pset.proposals.scores[:, None], pset.proposals.features))
     out = _combine(fields, W, fields.min(axis=0), fields.max(axis=0))
     masks: list[Mask | None] = [None] * K
@@ -139,57 +176,34 @@ def _aggregate_columns(
         values = _combine(stack, sub[rows] / sub_totals[rows, None], 0.0, 1.0)
         for k, v in zip(rows, values):
             masks[k] = Mask(v.reshape(grids[0].shape))
-    return out, masks, W
-
-
-def aggregate(S: SoftAssignment | np.ndarray, pset: ProposalSet) -> list[RefinedProposal]:
-    """Collapse proposals into one refined proposal per latent region.
-
-    Column k of the assignment is renormalized to sum to one and used as
-    convex-combination weights for boxes, scores, features, and masks: one
-    :func:`_combine` product for the boxes, scores and features side by side,
-    clipped to their column envelope, and one for the masks.  Proposals
-    without masks contribute nothing to the mask average; if no contributor
-    has a mask the refined mask is absent.
-    """
-    out, masks, W = _aggregate_columns(S, pset)
-    return [
-        RefinedProposal(box=Box(*b), score=s, feature=f, mask=m, source_weights=w)
-        for b, s, f, m, w in zip(out[:, :4].tolist(), out[:, 4].tolist(), out[:, 5:], masks, W)
-    ]
+    bad = ~(np.isfinite(out[:, :4]).all(axis=1) & (out[:, :2] <= out[:, 2:4]).all(axis=1))
+    if bad.any():
+        Box(*out[np.argmax(bad), :4].tolist())  # raises Box's error for the first bad row
+    return RefinedSet(out[:, :4], out[:, 4], out[:, 5:], tuple(masks), W)
 
 
 def dnms(
     pset: ProposalSet, gt: GroundTruth | None, cfg: PipelineConfig
-) -> tuple[list[RefinedProposal], PipelineDiagnostics]:
+) -> tuple[RefinedSet, PipelineDiagnostics]:
     """Differentiable suppression: cluster, assign softly, aggregate, refine.
 
-    Returns K refined proposals and the run diagnostics (cost diameter, rate
-    bound, solver trace with its convergence and observed rate, refinement
-    trace).  The entropy threshold is capped
-    at ln(K), the largest value feasible for a K-point simplex.
+    Returns the K refined proposals as a :class:`RefinedSet` with their
+    probabilities, and the run diagnostics (cost diameter, rate bound, solver
+    trace with its convergence and observed rate, refinement trace).  The entropy
+    threshold is capped at ln(K), the largest value feasible for a K-point simplex.
     """
     M = len(pset)
     if M == 0:
         raise ValueError("no proposals")
-    if cfg.k is not None:
-        K = min(cfg.k, M)
-    else:
-        K = estimate_k(pset)
+    K = min(cfg.k, M) if cfg.k is not None else estimate_k(pset)
     cents = init_centroids(pset, K, cfg.seed)
     C = build_cost(pset, cents, cfg.weights)
-    marg = Marginals.uniform(M, K)
-    S = solve(C, cfg.sinkhorn, marg)
-    out, masks, W = _aggregate_columns(S, pset)
-    boxes = [Box(*b) for b in out[:, :4].tolist()]
+    S = solve(C, cfg.sinkhorn, Marginals.uniform(M, K))
+    refined = aggregate(S, pset)
     # q contiguous: a strided q dots in another summation order in the refinement
-    q = out[:, 4].copy() if gt is None else quality_scores(out[:, :4], gt.boxes)
-    fw_params = replace(cfg.refine, tau_H=min(cfg.refine.tau_H, math.log(K)))
-    fw = frank_wolfe(q, fw_params)
-    refined = [
-        RefinedProposal(box=b, score=s, feature=f, mask=m, source_weights=w, probability=p)
-        for b, s, f, m, w, p in zip(boxes, out[:, 4].tolist(), out[:, 5:], masks, W, fw.p.p.tolist())
-    ]
+    q = refined.scores.copy() if gt is None else quality_scores(refined.boxes, gt.boxes)
+    fw = frank_wolfe(q, replace(cfg.refine, tau_H=min(cfg.refine.tau_H, math.log(K))))
+    refined = replace(refined, probabilities=fw.p.p)
     v = S.violations
     diag = PipelineDiagnostics(
         k=K,
@@ -223,10 +237,7 @@ def compare(
         start = time.perf_counter()
         kept = method()
         elapsed = time.perf_counter() - start
-        if isinstance(kept, ProposalSet):
-            boxes = kept.proposals.boxes
-        else:
-            boxes = box_array([r.box for r in kept])
+        boxes = kept.proposals.boxes if isinstance(kept, ProposalSet) else kept.boxes
         out[name] = MethodMetrics(
             mean_quality=float(np.mean(quality_scores(boxes, gt.boxes))),
             count=len(kept),

@@ -94,6 +94,9 @@ def _check_q(q: np.ndarray) -> np.ndarray:
         raise ValueError("q must be a 1-d non-empty vector")
     if not np.isfinite(q).all():
         raise ValueError("q must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # _softmax_scaled's z - z.max() at LAMBDA_MIN
+        if not np.isfinite(q / LAMBDA_MIN - q.max() / LAMBDA_MIN).all():
+            raise ValueError(f"q too large for the softmax at LAMBDA_MIN: max |q| = {abs(q).max():.6g}")
     return q
 
 

@@ -196,6 +196,21 @@ class TestRun:
         assert "numerical error: C / tau overflows" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_features_past_the_kmeans_bound_usage_error(self, tmp_path, capsys):
+        # the scene passes validate; its features square past the float range
+        from sinkhorn_nms import ProposalArrays, ProposalSet, SynthConfig, synth_generate
+        from sinkhorn_nms.formats import write_proposal_file
+
+        pset, _ = synth_generate(SynthConfig(num_regions=3, proposals_per_region=4, seed=1))
+        a = pset.proposals
+        write_proposal_file(tmp_path / "big.jsonl", ProposalSet(
+            ProposalArrays(a.ids, a.scores, a.boxes, a.features * 1e160),
+            pset.image_width, pset.image_height, pset.feature_dim))
+        code = run_cli("run", tmp_path / "big.jsonl", "--k", 3, "--output", tmp_path / "r.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: points too far apart" in err and "diagonal 1.89388e+160" in err
+
     def test_auto_mode_falls_back_to_log_on_underflow(self, tmp_path):
         # tau = 0.5 starts linear; alpha = 2000 underflows the linear kernel
         out = tmp_path / "s.jsonl"

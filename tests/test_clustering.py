@@ -40,6 +40,13 @@ class TestKMeans:
         with pytest.raises(ValueError, match="insufficient points"):
             kmeans([(0.0, 0.0)], K=2, seed=0)
 
+    def test_points_too_far_apart_raise_before_any_overflow(self):
+        # |x|**2 may overflow (the recheck handles it), but not a distance
+        with pytest.raises(ValueError, match=r"^points too far apart: a sum of 2 squared distances "
+                                             r"up to the bounding-box diagonal 1\.41421e\+160 could overflow$"):
+            kmeans([(1e160, 0.0), (0.0, 1e160)], K=1, seed=0)
+        kmeans([(1e160, 1e160), (1e160, 1e160)], K=1, seed=0)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(30, 3))

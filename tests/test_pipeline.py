@@ -8,10 +8,12 @@ from sinkhorn_nms import (
     PipelineConfig,
     ProposalArrays,
     ProposalSet,
+    RefinedSet,
     RefineParams,
     SinkhornParams,
     SynthConfig,
     aggregate,
+    clustering,
     compare,
     dnms,
     greedy_nms,
@@ -19,9 +21,11 @@ from sinkhorn_nms import (
     solve,
     synth_generate,
 )
+from sinkhorn_nms import formats, pipeline
 from sinkhorn_nms.formats import run_report
 from sinkhorn_nms.rng import SplitMix64
 from sinkhorn_nms.verification import random_matrix
+from test_kmeans_reference import kmeans as reference_kmeans
 
 RECOVERY_CONFIG = PipelineConfig(
     sinkhorn=SinkhornParams(tau=0.01, iters=500, tol=1e-12),
@@ -115,7 +119,116 @@ class TestAggregate:
             aggregate(np.array([[0.5], [0.5]]), pset)
 
 
+def reversed_box_set():
+    # every input box has x1 > x2, so the refined box has its corners out of order
+    arrays = ProposalArrays(ids=np.arange(2), scores=np.array([0.8, 0.6]),
+                            boxes=np.array([[10.0, 0.0, 0.0, 10.0], [12.0, 0.0, 2.0, 10.0]]),
+                            features=np.eye(2))
+    return ProposalSet(proposals=arrays, image_width=20.0, image_height=20.0, feature_dim=2)
+
+
+def scaled_features_set(scale):
+    pset, _ = synth_generate(SynthConfig(num_regions=3, proposals_per_region=4, seed=1))
+    a = pset.proposals
+    return ProposalSet(ProposalArrays(a.ids, a.scores, a.boxes, a.features * scale),
+                       pset.image_width, pset.image_height, pset.feature_dim)
+
+
+class TestRefinedSet:
+    def refined(self, gt=True):
+        pset, truth = synth_generate(
+            SynthConfig(num_regions=3, proposals_per_region=4, jitter=3.0, score_noise=0.1, seed=4)
+        )
+        m = Mask(np.array([[0.25, 1.0]]))
+        pset = ProposalSet(ProposalArrays(pset.proposals.ids, pset.proposals.scores,
+                                          pset.proposals.boxes, pset.proposals.features,
+                                          masks=(m,) + (None,) * (len(pset) - 1)),
+                           pset.image_width, pset.image_height, pset.feature_dim)
+        return dnms(pset, truth if gt else None, PipelineConfig(k=3))[0]
+
+    @pytest.mark.parametrize("gt", [True, False], ids=["gt", "no-gt"])
+    def test_rows_equal_the_columns_bit_for_bit(self, gt):
+        refined = self.refined(gt)
+        assert isinstance(refined, RefinedSet) and len(refined) == 3
+        for k in (0, 1, 2, -1, -3):
+            r = refined[k]
+            assert type(r.score) is float and type(r.probability) is float
+            assert r.box.as_array().tobytes() == refined.boxes[k].tobytes()
+            assert r.score.hex() == float(refined.scores[k]).hex()
+            assert r.feature.tobytes() == refined.features[k].tobytes()
+            assert r.source_weights.tobytes() == refined.source_weights[k].tobytes()
+            assert r.probability.hex() == float(refined.probabilities[k]).hex()
+            assert r.mask is refined.masks[k]
+        assert sum(r.mask is not None for r in refined) >= 1
+        assert [r.score for r in refined] == refined.scores.tolist()
+        assert [r.score for r in refined[1::-1]] == refined.scores[1::-1].tolist()
+        assert refined[0] is not refined[0]  # a new row per read
+
+    @pytest.mark.parametrize("k", [3, -4, 10])
+    def test_index_past_the_end_raises(self, k):
+        with pytest.raises(IndexError):
+            self.refined()[k]
+
+    def test_probability_unset_by_aggregate_and_set_by_dnms(self):
+        refined = aggregate(np.array([[0.5, 0.5], [0.5, 0.5]]), two_proposal_set())
+        assert refined.probabilities is None
+        assert [r.probability for r in refined] == [None, None]
+        out, _ = dnms(two_proposal_set(), None, PipelineConfig(k=2))
+        assert all(0.0 <= r.probability <= 1.0 for r in out)
+        assert out.probabilities.sum() == pytest.approx(1.0)
+
+    def test_zero_regions_give_an_empty_set(self):
+        refined = aggregate(np.empty((2, 0)), two_proposal_set())
+        assert len(refined) == 0 and list(refined) == []
+        assert refined.boxes.shape == (0, 4) and refined.source_weights.shape == (0, 2)
+        empty = two_proposal_set().take(np.arange(0))
+        assert len(aggregate(np.empty((0, 0)), empty)) == 0
+
+    def test_corners_out_of_order_raise_inside_aggregate(self):
+        with pytest.raises(ValueError, match=r"^box corners out of order: \(11\.0, 0\.0, 1\.0, 10\.0\)$"):
+            aggregate(np.array([[0.5], [0.5]]), reversed_box_set())
+
+    def test_corners_out_of_order_raise_inside_dnms(self):
+        with pytest.raises(ValueError, match=r"^box corners out of order: \(11\.0, 0\.0, 1\.0, 10\.0\)$"):
+            dnms(reversed_box_set(), None, PipelineConfig(k=1))
+
+    def test_non_finite_box_raises_inside_aggregate(self):
+        pset = two_proposal_set()
+        a = pset.proposals
+        boxes = a.boxes.copy()
+        boxes[1, 2] = np.inf
+        pset = ProposalSet(ProposalArrays(a.ids, a.scores, boxes, a.features), 10.0, 10.0, 2)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^box coordinates must be finite"):
+            aggregate(np.array([[1.0, 0.0], [0.0, 1.0]]), pset)
+
+
 class TestDnms:
+    def test_calls_pipeline_aggregate_once(self, monkeypatch):
+        calls = []
+
+        def counted(S, pset):
+            calls.append(len(pset))
+            return aggregate(S, pset)
+
+        monkeypatch.setattr(pipeline, "aggregate", counted)
+        pset, gt = synth_generate(SynthConfig(num_regions=3, proposals_per_region=4, seed=2))
+        for truth in (gt, None):
+            calls.clear()
+            dnms(pset, truth, PipelineConfig(k=3))
+            assert calls == [len(pset)]
+
+    def test_features_just_below_the_kmeans_bound_run_as_before(self, monkeypatch):
+        pset, cfg = scaled_features_set(1e153), PipelineConfig(k=3)
+        library = formats.dumps_canonical(run_report(cfg, *dnms(pset, None, cfg), source_weights=True))
+        monkeypatch.setattr(clustering, "kmeans", reference_kmeans)
+        oracle = formats.dumps_canonical(run_report(cfg, *dnms(pset, None, cfg), source_weights=True))
+        assert library == oracle
+
+    def test_features_past_the_kmeans_bound_raise_by_name(self):
+        # under the warning rule an overflow on the way would fail with a RuntimeWarning
+        with pytest.raises(ValueError, match="^points too far apart: a sum of 12 squared distances"):
+            dnms(scaled_features_set(1e154), None, PipelineConfig(k=3))
+
     def test_zero_jitter_recovery(self):
         for seed in (0, 1, 2):
             pset, gt = synth_generate(

@@ -162,6 +162,24 @@ class TestLmoEntropy:
         assert h_large >= h_small - 1e-9
 
 
+# |q| / LAMBDA_MIN passes the float range above about 1.798e305; so does the
+# spread (max q - q) / LAMBDA_MIN of [1e305, -1e305]
+@pytest.mark.parametrize("q", [[1.7995e305, 0.0], [-1.7995e305, 0.0], [1e305, -1e305]])
+@pytest.mark.parametrize("fn", [lmo_entropy, frank_wolfe])
+def test_q_past_the_softmax_range_raises_by_name(fn, q):
+    with pytest.raises(ValueError, match="^q too large for the softmax at LAMBDA_MIN"):
+        fn(np.array(q), RefineParams())
+
+
+@pytest.mark.parametrize("q", [[1.7959e305, 0.0], [-1.7959e305, 0.0]])
+@pytest.mark.parametrize("fn", [lmo_entropy, frank_wolfe])
+def test_q_just_inside_the_softmax_range_still_returns_uniform(fn, q):
+    with pytest.warns(UnreachableEntropyWarning):
+        out = fn(np.array(q), RefineParams())
+    p = out.p if fn is lmo_entropy else out.p.p
+    assert p.tolist() == [0.5, 0.5]
+
+
 class TestLineSearch:
     def test_improvement_steps_fully(self):
         q = np.array([1.0, 0.0])
